@@ -92,13 +92,23 @@ let fig2 () =
 (* E5-E8: Table II — PAR-2 with and without Bosphorus, three solvers    *)
 (* ------------------------------------------------------------------ *)
 
+(* [map_pinned ~jobs f xs] is [List.map f xs] run on [jobs] dedicated
+   domains: [xs] is cut into at most [jobs] contiguous chunks, one pinned
+   task each, and the results come back in input order. *)
+let map_pinned ~jobs f xs =
+  let n = List.length xs in
+  let size = Int.max 1 ((n + jobs - 1) / Int.max 1 jobs) in
+  let chunk c () = List.map f (List.filteri (fun i _ -> i / size = c) xs) in
+  List.concat_map
+    (function Ok ys -> ys | Error e -> raise e)
+    (Runtime.Pool.run_pinned (List.init ((n + size - 1) / size) chunk))
+
 let table2 ?(quick = false) ?family_filter ?(jobs = 1) ?json () =
   header
     (Printf.sprintf
        "Table II: PAR-2 (seconds; lower is better) and solved counts; timeout %.0fs, \
         conflict budget %d, jobs %d"
        Runners.nominal_timeout_s Runners.final_conflict_budget jobs);
-  let pool = Runtime.Pool.get ~jobs in
   let families = Families.table2_families ~quick in
   let families =
     match family_filter with
@@ -123,12 +133,12 @@ let table2 ?(quick = false) ?family_filter ?(jobs = 1) ?json () =
       let n = List.length family.Families.instances in
       (* one batch task per instance: the without-Bosphorus solves, the
          (shared) preprocessing run, and the with-Bosphorus solves.  Each
-         solver instance lives entirely inside its task's domain, so the
-         pool runs whole instances in parallel; timing is collected
+         solver instance lives entirely inside its task's domain, so
+         [jobs] domains run whole instances in parallel; timing is collected
          centrally (wall + process CPU) rather than inside workers. *)
       let per_instance, fam_wall, fam_cpu =
         Harness.Timing.time_cpu (fun () ->
-            Runtime.Pool.map_list pool
+            map_pinned ~jobs
               (fun inst ->
                 let wo =
                   List.map

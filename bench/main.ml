@@ -5,7 +5,8 @@
      dune exec bench/main.exe                 run everything
      dune exec bench/main.exe -- table2       one experiment
      dune exec bench/main.exe -- table2 --family simon --quick
-     dune exec bench/main.exe -- micro --quick --jobs 4 --json BENCH.json
+     dune exec bench/main.exe -- table2 --quick --jobs 2
+     dune exec bench/main.exe -- micro --quick --json BENCH.json
    Experiments: table1 example fig2 table2 ablation encoding-sweep
    representations incremental service gauss micro *)
 
@@ -17,6 +18,8 @@ let usage () =
      [table1|example|fig2|table2|ablation|encoding-sweep|representations|incremental|service|gauss|micro]*\n\
     \       [--quick] [--family aes|simon|speck|bitcoin|sat] [--jobs N] [--json FILE]\n\
     \       [--trace FILE] [--metrics FILE] [--alloc-gate] [--portfolio]\n\
+     --jobs: with table2, run N contiguous instance chunks on dedicated \
+     domains\n\
      --alloc-gate: with micro, run only the GC-regression gate (exits 1 on \
      regression)\n\
      --portfolio: with micro, run only the portfolio race (profiles alone vs \
@@ -102,7 +105,7 @@ let () =
             | "incremental" -> Experiments.incremental ~quick ?json ()
             | "service" -> Experiments.service ~quick ?json ()
             | "gauss" -> Experiments.gauss ~quick ?json ()
-            | "micro" -> Micro.run ~quick ~jobs ~alloc_gate ~portfolio ?json ()
+            | "micro" -> Micro.run ~quick ~alloc_gate ~portfolio ?json ()
             | other ->
                 Printf.eprintf "unknown experiment %S\n" other;
                 usage ())

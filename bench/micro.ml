@@ -69,11 +69,6 @@ let xl_pass =
     (Staged.stage (fun () ->
          Bosphorus.Xl.run ~config:Bosphorus.Config.default ~rng:(Random.State.make [| 1 |]) eqs))
 
-(* ------------------------------------------------------------------ *)
-(* Parallel kernels: domain-pool speedup of M4RM elimination and XL     *)
-(* expansion, measured jobs=1 vs jobs=N with result-equality checks.    *)
-(* ------------------------------------------------------------------ *)
-
 let best_of ~reps f =
   let best = ref infinity in
   let result = ref None in
@@ -83,104 +78,6 @@ let best_of ~reps f =
     result := Some x
   done;
   (Option.get !result, !best)
-
-let random_polys ~n_polys ~n_vars ~terms rng =
-  List.init n_polys (fun _ ->
-      Anf.Poly.of_monomials
-        (List.init terms (fun _ ->
-             Anf.Monomial.of_vars
-               (List.init 2 (fun _ -> Random.State.int rng n_vars)))))
-
-let parallel_kernels ~quick ~jobs ?json () =
-  Format.printf "@.=== Parallel kernels (domain pool, jobs=1 vs jobs=%d) ===@.@." jobs;
-  let reps = if quick then 3 else 5 in
-  let record family wall rank facts =
-    match json with
-    | None -> ()
-    | Some j -> Json_out.add j ~experiment:"micro" ~family ~wall_s:wall ?facts ?rank ~jobs:1 ()
-  in
-  (* jobs=N records carry the granularity decision the kernel actually
-     took ([chosen_parallel] = 1 when it dispatched on the pool, 0 when
-     the auto-tuner kept it inline) *)
-  let record_j ?(extras = []) family wall rank facts =
-    match json with
-    | None -> ()
-    | Some j ->
-        Json_out.add j ~experiment:"micro" ~family ~wall_s:wall ?facts ?rank ~extras ~jobs ()
-  in
-  let mode_extras chosen = [ ("chosen_parallel", if chosen then 1.0 else 0.0) ] in
-  let mode_label chosen = if chosen then "pool" else "inline" in
-  let rows = ref [] in
-  (* M4RM panel update *)
-  let n = if quick then 512 else 1024 in
-  let m = random_matrix n in
-  let (rank1, m1), w1 =
-    best_of ~reps (fun () ->
-        let c = Gf2.Matrix.copy m in
-        (Gf2.Matrix.rref_m4rm ~jobs:1 c, c))
-  in
-  let (rankn, mn), wn =
-    best_of ~reps (fun () ->
-        let c = Gf2.Matrix.copy m in
-        (Gf2.Matrix.rref_m4rm ~jobs c, c))
-  in
-  let identical =
-    rank1 = rankn
-    && Format.asprintf "%a" Gf2.Matrix.pp m1 = Format.asprintf "%a" Gf2.Matrix.pp mn
-  in
-  if not identical then failwith "micro: parallel M4RM diverged from sequential";
-  let name = Printf.sprintf "m4rm_%d" n in
-  let m4rm_mode = Gf2.Matrix.m4rm_parallel_worthwhile ~rows:n ~cols:n ~jobs () in
-  record (name ^ "_jobs1") w1 (Some rank1) None;
-  record_j ~extras:(mode_extras m4rm_mode)
-    (Printf.sprintf "%s_jobs%d" name jobs) wn (Some rankn) None;
-  rows := [ name; Printf.sprintf "%.4f" w1; Printf.sprintf "%.4f" wn;
-            Printf.sprintf "%.2fx" (w1 /. wn); mode_label m4rm_mode; "bit-identical" ] :: !rows;
-  (* XL expansion *)
-  let rng = Random.State.make [| 41 |] in
-  let n_polys = if quick then 150 else 400 in
-  let n_vars = if quick then 48 else 64 in
-  let polys = random_polys ~n_polys ~n_vars ~terms:8 rng in
-  let mults =
-    Bosphorus.Xl.multipliers ~vars:(List.init n_vars (fun i -> i)) ~degree:1
-  in
-  let e1, we1 = best_of ~reps (fun () -> Bosphorus.Xl.expand ~jobs:1 ~multipliers:mults polys) in
-  let en, wen = best_of ~reps (fun () -> Bosphorus.Xl.expand ~jobs ~multipliers:mults polys) in
-  if not (List.length e1 = List.length en && List.for_all2 Anf.Poly.equal e1 en) then
-    failwith "micro: parallel XL expansion diverged from sequential";
-  let name = Printf.sprintf "xl_expand_%dx%d" n_polys (List.length mults) in
-  let xl_mode =
-    Bosphorus.Xl.expand_parallel_worthwhile ~n_polys
-      ~n_multipliers:(List.length mults) ~jobs ()
-  in
-  record (name ^ "_jobs1") we1 None (Some (List.length e1));
-  record_j ~extras:(mode_extras xl_mode)
-    (Printf.sprintf "%s_jobs%d" name jobs) wen None (Some (List.length en));
-  rows := [ name; Printf.sprintf "%.4f" we1; Printf.sprintf "%.4f" wen;
-            Printf.sprintf "%.2fx" (we1 /. wen); mode_label xl_mode; "list-identical" ] :: !rows;
-  (* Linearize.build column hashing *)
-  let (lin1, mat1), wl1 = best_of ~reps (fun () -> Bosphorus.Linearize.build ~jobs:1 e1) in
-  let (linn, matn), wln = best_of ~reps (fun () -> Bosphorus.Linearize.build ~jobs e1) in
-  if
-    not
-      (Bosphorus.Linearize.n_columns lin1 = Bosphorus.Linearize.n_columns linn
-      && Format.asprintf "%a" Gf2.Matrix.pp mat1 = Format.asprintf "%a" Gf2.Matrix.pp matn)
-  then failwith "micro: parallel linearization diverged from sequential";
-  let name = Printf.sprintf "linearize_%dx%d" (List.length e1) (Bosphorus.Linearize.n_columns lin1) in
-  let lin_mode =
-    Bosphorus.Linearize.build_parallel_worthwhile ~n_polys:(List.length e1) ~jobs ()
-  in
-  record (name ^ "_jobs1") wl1 None None;
-  record_j ~extras:(mode_extras lin_mode)
-    (Printf.sprintf "%s_jobs%d" name jobs) wln None None;
-  rows := [ name; Printf.sprintf "%.4f" wl1; Printf.sprintf "%.4f" wln;
-            Printf.sprintf "%.2fx" (wl1 /. wln); mode_label lin_mode; "matrix-identical" ] :: !rows;
-  Format.printf "%s@."
-    (Harness.Table.render
-       ~title:(Printf.sprintf "parallel kernels (best of %d, %d host domains)" reps
-                 (Domain.recommended_domain_count ()))
-       ~headers:[ "kernel"; "jobs=1 (s)"; Printf.sprintf "jobs=%d (s)" jobs; "speedup"; "mode"; "equality" ]
-       (List.rev !rows))
 
 (* ------------------------------------------------------------------ *)
 (* BCP throughput: propagations/sec of the arena solver over the       *)
@@ -671,7 +568,7 @@ let dimacs_load ~quick ?json () =
          [ "parse_file"; Printf.sprintf "%.4f" file_wall;
            Printf.sprintf "%.1f" (mbps file_wall) ] ])
 
-let run_full ~quick ~jobs ?json () =
+let run_full ~quick ?json () =
   Format.printf "@.=== Micro-benchmarks (Bechamel, monotonic clock) ===@.@.";
   let tests = [ bitvec_xor; matrix_rref; matrix_rref_m4rm; zdd_product; poly_mul; espresso; cdcl_php; xl_pass ] in
   let ols =
@@ -702,13 +599,12 @@ let run_full ~quick ~jobs ?json () =
     (Harness.Table.render ~title:"kernel timings" ~headers:[ "kernel"; "ns/run"; "r²" ] rows);
   bcp_throughput ~quick ?json ();
   dimacs_load ~quick ?json ();
-  parallel_kernels ~quick ~jobs:(max 2 jobs) ?json ();
   portfolio_race ~quick ?json ()
 
 (* [--alloc-gate] runs only the GC-regression gate and [--portfolio]
    only the portfolio race (both fast enough for a CI step); otherwise
    the full micro suite. *)
-let run ?(quick = false) ?(jobs = 1) ?(alloc_gate = false) ?(portfolio = false) ?json () =
+let run ?(quick = false) ?(alloc_gate = false) ?(portfolio = false) ?json () =
   if alloc_gate then run_alloc_gate ?json ()
   else if portfolio then portfolio_race ~quick ?json ()
-  else run_full ~quick ~jobs ?json ()
+  else run_full ~quick ?json ()

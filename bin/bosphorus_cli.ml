@@ -205,8 +205,20 @@ let run_audit outcome =
     Error (`Msg "audit failed")
   end
 
+(* A reader that stops early (... | head) closes our stdout.  With SIGPIPE
+   ignored (see the entry point) the next write raises Sys_error (EPIPE)
+   instead of killing the process: point stdout at /dev/null so the
+   at_exit flushes succeed, and leave through [exit] so the sinks still
+   write every report file. *)
+let exit_on_broken_stdout f =
+  try f ()
+  with Sys_error msg when String.equal msg "Broken pipe" ->
+    Unix.dup2 (Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0) Unix.stdout;
+    exit 141
+
 let run_main input format_opt out_anf out_cnf solver budget no_learning lint audit
     budget_report_path status_exit_codes trace_path metrics_path config =
+  exit_on_broken_stdout @@ fun () ->
   let config =
     if audit then { config with Bosphorus.Config.audit_trail = true } else config
   in
@@ -369,10 +381,14 @@ let config_term =
   let jobs =
     Arg.(value & opt int default.jobs
          & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Domain-pool width for the parallel kernels (GF(2) \
-                   elimination panels, XL expansion, linearizer hashing).  \
-                   1 runs sequentially; 0 picks the machine's recommended \
-                   domain count.  Results are identical for every value.")
+             ~doc:"Domains one solve may use: race N diversified SAT \
+                   configurations per round on dedicated domains, sharing \
+                   learnt units and binaries through a lock-free exchange; \
+                   the first worker to decide cancels the rest and its \
+                   solver carries the round's facts.  1 (the default) keeps \
+                   the single-solver semantics bit-for-bit; 0 picks the \
+                   machine's recommended domain count.  Ignored under \
+                   --audit.")
   in
   let timeout =
     Arg.(value & opt (some float) None
@@ -394,16 +410,6 @@ let config_term =
              ~doc:"Ceiling on cumulative CDCL conflicts across all SAT \
                    rounds (solver-reported counts, not requested budgets); \
                    tripping it degrades the run like --timeout.")
-  in
-  let portfolio =
-    Arg.(value & opt int default.portfolio
-         & info [ "portfolio" ] ~docv:"K"
-             ~doc:"Race K diversified SAT configurations per round on \
-                   dedicated domains, sharing learnt units and binaries \
-                   through a lock-free exchange; the first worker to decide \
-                   cancels the rest and its solver carries the round's \
-                   facts.  1 (the default) keeps the single-solver \
-                   semantics bit-for-bit.")
   in
   let gauss =
     let mode =
@@ -428,7 +434,7 @@ let config_term =
                    engages.")
   in
   let build m dm d k l l' c0 iters seed jobs timeout_s max_memory_monomials
-      max_total_conflicts portfolio gauss gauss_threshold =
+      max_total_conflicts gauss gauss_threshold =
     {
       default with
       xl_sample_bits = m;
@@ -440,18 +446,17 @@ let config_term =
       sat_budget_start = c0;
       max_iterations = iters;
       seed;
-      jobs = (if jobs <= 0 then Runtime.Pool.default_jobs () else jobs);
+      jobs = (if jobs <= 0 then Domain.recommended_domain_count () else jobs);
       timeout_s;
       max_memory_monomials;
       max_total_conflicts;
-      portfolio = Int.max 1 portfolio;
       gauss;
       gauss_threshold = Int.max 1 gauss_threshold;
     }
   in
   Term.(
     const build $ m $ dm $ d $ k $ l $ l' $ c0 $ iters $ seed $ jobs $ timeout
-    $ max_mem $ max_conf $ portfolio $ gauss $ gauss_threshold)
+    $ max_mem $ max_conf $ gauss $ gauss_threshold)
 
 let cmd =
   let doc = "bridge ANF and CNF solvers by iterative fact learning" in
@@ -463,4 +468,13 @@ let cmd =
   in
   Cmd.v (Cmd.info "bosphorus" ~doc) Term.(term_result term)
 
-let () = exit (Cmd.eval cmd)
+(* Every way out goes through [exit], so the at_exit sinks still write
+   the --trace/--metrics/--budget-report files: SIGPIPE is ignored (a
+   closed stdout becomes a Sys_error, see [exit_on_broken_stdout]), and
+   SIGINT/SIGTERM exit with the shell's 128 + signal codes. *)
+let () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  List.iter
+    (fun (signal, code) -> Sys.set_signal signal (Sys.Signal_handle (fun _ -> exit code)))
+    [ (Sys.sigint, 130); (Sys.sigterm, 143) ];
+  exit (Cmd.eval cmd)

@@ -5,7 +5,7 @@
    jobs and unlink the socket. *)
 
 let run_serve socket workers per_timeout per_memory per_conflicts cache_capacity
-    max_frame jobs seed portfolio metrics_path =
+    max_frame jobs seed metrics_path =
   (* Block termination signals before any daemon thread exists so every
      thread inherits the mask; a dedicated thread below receives them
      synchronously (an async Signal_handle would sit pending forever
@@ -20,9 +20,8 @@ let run_serve socket workers per_timeout per_memory per_conflicts cache_capacity
   let base_config =
     {
       Bosphorus.Config.default with
-      jobs = (if jobs <= 0 then Runtime.Pool.default_jobs () else jobs);
+      jobs = (if jobs <= 0 then Domain.recommended_domain_count () else jobs);
       seed;
-      portfolio = Int.max 1 portfolio;
     }
   in
   let per_client =
@@ -108,17 +107,13 @@ let max_frame_arg =
 let jobs_arg =
   Arg.(value & opt int Bosphorus.Config.default.Bosphorus.Config.jobs
        & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Domain-pool width for each solve's parallel kernels \
-                 (0 picks the machine's recommended count).")
+           ~doc:"Domains each solve may use: the SAT stage races N \
+                 diversified solver configurations (1 keeps the single \
+                 solver; 0 picks the machine's recommended count).")
 
 let seed_arg =
   Arg.(value & opt int Bosphorus.Config.default.Bosphorus.Config.seed
        & info [ "seed" ] ~doc:"Subsampling RNG seed for every solve.")
-
-let portfolio_arg =
-  Arg.(value & opt int Bosphorus.Config.default.Bosphorus.Config.portfolio
-       & info [ "portfolio" ] ~docv:"K"
-           ~doc:"SAT-stage portfolio width for every solve.")
 
 let metrics_arg =
   Arg.(value & opt (some string) None
@@ -133,7 +128,7 @@ let cmd =
     Term.(
       const run_serve $ socket_arg $ workers_arg $ per_timeout_arg
       $ per_memory_arg $ per_conflicts_arg $ cache_arg $ max_frame_arg
-      $ jobs_arg $ seed_arg $ portfolio_arg $ metrics_arg)
+      $ jobs_arg $ seed_arg $ metrics_arg)
   in
   Cmd.v (Cmd.info "bosphorus-serve" ~doc) Term.(term_result term)
 

@@ -22,7 +22,6 @@ type t = {
   timeout_s : float option;
   max_memory_monomials : int option;
   max_total_conflicts : int option;
-  portfolio : int;
   gauss : gauss_mode;
   gauss_threshold : int;
 }
@@ -50,7 +49,6 @@ let paper =
     timeout_s = None;
     max_memory_monomials = None;
     max_total_conflicts = None;
-    portfolio = 1;
     gauss = Gauss_auto;
     gauss_threshold = 8;
   }

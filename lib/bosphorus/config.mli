@@ -49,12 +49,17 @@ type t = {
           every learnt fact after the run.  Off by default: proof logging
           retains every learnt clause. *)
   jobs : int;
-      (** domain-pool width for the parallel kernels: GF(2) elimination
-          panel updates, XL expansion and linearizer column hashing all
-          fan out over [jobs] domains of the shared {!Runtime.Pool}.
-          1 (the default) runs everything sequentially on the calling
-          domain.  Results are identical for every value — see DESIGN.md,
-          "Parallel runtime". *)
+      (** the number of domains one solve may use ([-j]/[--jobs]): the
+          SAT stage races [jobs] diversified solver configurations on
+          dedicated domains with lock-free clause sharing and
+          first-finisher cancellation (see {!Sat.Portfolio}).  The
+          winner's solver carries the round's facts; with
+          [incremental_sat] it becomes the surviving session solver.
+          1 (the default) keeps the single-solver semantics bit-for-bit.
+          Ignored when [audit_trail] is on — per-worker DRUP logs are not
+          exchange-aware, so audited runs stay single-solver.  Every
+          other layer runs sequentially on the calling domain; see
+          DESIGN.md, "Parallel runtime". *)
   incremental_sat : bool;
       (** keep one SAT solver and one ANF-to-CNF conversion state alive
           across loop iterations: each round encodes only the
@@ -84,16 +89,6 @@ type t = {
           conflict counts (not requested budgets).  Per-round budgets are
           still [sat_budget_*], clipped to what remains.  [None]
           (default): unlimited. *)
-  portfolio : int;
-      (** SAT-stage portfolio width ([--portfolio]): race K diversified
-          solver configurations on dedicated domains with lock-free
-          clause sharing and first-finisher cancellation (see
-          {!Sat.Portfolio}).  The winner's solver carries the round's
-          facts; with [incremental_sat] it becomes the surviving session
-          solver.  1 (the default) keeps the single-solver semantics
-          bit-for-bit.  Ignored when [audit_trail] is on — per-worker
-          DRUP logs are not exchange-aware, so audited runs stay
-          single-solver. *)
   gauss : gauss_mode;
       (** in-search parity reasoning over the encoding's XOR constraints
           ([--gauss]): the ANF-to-CNF conversion (and, for CNF inputs,

@@ -267,8 +267,8 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
       List.fold_left (fun acc p -> max acc (P.max_var p + 1)) 0 polys
     in
     if List.length polys > nvars_live + 8 then begin
-      let lin, matrix = Linearize.build ~jobs:config.Config.jobs polys in
-      ignore (Gf2.Matrix.rref_m4rm ~jobs:config.Config.jobs matrix);
+      let lin, matrix = Linearize.build polys in
+      ignore (Gf2.Matrix.rref_m4rm matrix);
       let basis = List.map (Linearize.poly_of_row lin) (Gf2.Matrix.nonzero_rows matrix) in
       List.iter (fun (id, _) -> S.remove master id) !linear;
       List.iter (fun p -> ignore (S.add master p)) basis;
@@ -363,10 +363,10 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
     | Some r -> min !sat_budget r
   in
   let budget_interrupt () = Harness.Budget.poll_quiet budget ~layer:"sat" in
-  (* Portfolio gate: race K diversified workers per SAT round when asked.
-     Audited runs stay single-solver — a worker's DRUP log omits the
-     clauses it imported, so it is not self-contained. *)
-  let use_portfolio = config.Config.portfolio > 1 && trail = None in
+  (* Portfolio gate: race [jobs] diversified workers per SAT round when
+     asked.  Audited runs stay single-solver — a worker's DRUP log omits
+     the clauses it imported, so it is not self-contained. *)
+  let use_portfolio = config.Config.jobs > 1 && trail = None in
   (* In-search parity gate: audited runs never feed XOR rows (the solver
      would have to certify non-RUP reason clauses), [Gauss_on] forces them
      in, and [Gauss_auto] engages once a stage carries enough rows to pay
@@ -406,7 +406,7 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
       let o =
         Sat.Portfolio.race ~conflict_budget ?time_budget_s
           ~interrupt:budget_interrupt
-          ~workers:(Sat.Portfolio.default_workers ~k:config.Config.portfolio)
+          ~workers:(Sat.Portfolio.default_workers ~k:config.Config.jobs)
           solver
       in
       let total =

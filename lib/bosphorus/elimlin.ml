@@ -7,10 +7,10 @@ let m_substitutions = Obs.Metrics.counter "elimlin.substitutions"
 let m_facts = Obs.Metrics.counter "elimlin.facts"
 let m_rounds = Obs.Metrics.counter "elimlin.rounds"
 
-let gje ?(jobs = 1) ?(poll = fun () -> ()) polys =
+let gje ?(poll = fun () -> ()) polys =
   Obs.Trace.with_span ~name:"elimlin.gje" @@ fun () ->
-  let lin, matrix = Linearize.build ~jobs polys in
-  ignore (Gf2.Matrix.rref_m4rm ~jobs ~poll matrix);
+  let lin, matrix = Linearize.build polys in
+  ignore (Gf2.Matrix.rref_m4rm ~poll matrix);
   List.map (Linearize.poly_of_row lin) (Gf2.Matrix.nonzero_rows matrix)
 
 exception Contradiction_found of P.t list
@@ -24,7 +24,7 @@ exception Out_of_time
    driver's global {!Harness.Budget}: a trip behaves exactly like the
    deadline — the pass stops and returns the facts found so far, each of
    which is already a sound consequence of the input. *)
-let eliminate ?deadline ?budget ?(jobs = 1) polys =
+let eliminate ?deadline ?budget polys =
   let facts = ref [] in
   let rounds = ref 0 in
   let past_deadline () =
@@ -44,7 +44,7 @@ let eliminate ?deadline ?budget ?(jobs = 1) polys =
          in the whole loop; a full check per column block (a clock read
          against ~1ms of row updates) bounds trip-detection latency on
          dense systems where the amortized window would be too coarse *)
-      let reduced = gje ~jobs ~poll:check_budget polys in
+      let reduced = gje ~poll:check_budget polys in
       let linear, nonlinear = List.partition P.is_linear reduced in
       let linear = List.filter (fun p -> not (P.is_zero p)) linear in
       if linear = [] then reduced
@@ -111,9 +111,9 @@ let report_of facts rounds final =
   Obs.Metrics.incr m_rounds ~by:rounds;
   { facts; rounds; final_size = List.length final }
 
-let run_full ?(jobs = 1) polys =
+let run_full polys =
   Obs.Trace.with_span ~name:"elimlin.run" @@ fun () ->
-  let facts, rounds, final = eliminate ~jobs polys in
+  let facts, rounds, final = eliminate polys in
   report_of facts rounds final
 
 let run ~config ~rng ?budget polys =
@@ -123,5 +123,5 @@ let run ~config ~rng ?budget polys =
   (* like XL, ElimLin runs on a ~2^M-cell subsample (Section II-C) *)
   let sample = Xl.subsample ~rng ~cell_budget polys in
   let deadline = Unix.gettimeofday () +. config.stage_time_s in
-  let facts, rounds, final = eliminate ~deadline ?budget ~jobs:config.jobs sample in
+  let facts, rounds, final = eliminate ~deadline ?budget sample in
   report_of facts rounds final

@@ -9,57 +9,20 @@ end)
 
 type t = { columns : M.t array; index : int Mtbl.t }
 
-let chunk_keys polys =
+let column_basis polys =
   let seen = Mtbl.create 64 in
   List.iter
     (fun p -> List.iter (fun m -> Mtbl.replace seen m ()) (Anf.Poly.monomials p))
     polys;
-  seen
-
-let column_basis ?(jobs = 1) polys =
-  let seen =
-    if jobs <= 1 then chunk_keys polys
-    else begin
-      (* hash each chunk's monomials into a local table in parallel, then
-         merge; the final sort makes the basis order chunking-independent *)
-      let pool = Runtime.Pool.get ~jobs in
-      let locals =
-        Runtime.Pool.run pool
-          (List.map
-             (fun chunk () ->
-               Obs.Trace.with_span ~name:"linearize.hash_chunk" (fun () ->
-                   chunk_keys chunk))
-             (Runtime.Pool.chunk_list ~chunks:jobs polys))
-      in
-      let seen = Mtbl.create 64 in
-      List.iter (fun local -> Mtbl.iter (fun m () -> Mtbl.replace seen m ()) local) locals;
-      seen
-    end
-  in
   let cols = Mtbl.fold (fun m () acc -> m :: acc) seen [] in
   Array.of_list (List.sort M.compare cols)
 
 let g_columns = Obs.Metrics.gauge "linearize.columns"
 let g_rows = Obs.Metrics.gauge "linearize.rows"
 
-(* Granularity auto-tuning: hashing and row building are cheap per
-   polynomial, so parallel dispatch only pays on large systems.  The
-   gauge learns the per-polynomial sequential cost from real sequential
-   builds. *)
-let build_gauge =
-  Runtime.Pool.Grain.gauge ~name:"linearize.build" ~default_op_ns:3000.0
-
-let build_parallel_worthwhile ~n_polys ~jobs () =
-  jobs > 1
-  && Runtime.Pool.Grain.worth_parallel_jobs ~jobs build_gauge
-       ~ops:n_polys
-
-let build ?(jobs = 1) polys =
+let build polys =
   Obs.Trace.with_span ~name:"linearize.build" @@ fun () ->
-  let n_polys = List.length polys in
-  let jobs = if build_parallel_worthwhile ~n_polys ~jobs () then jobs else 1 in
-  let t0 = if jobs <= 1 then Unix.gettimeofday () else 0.0 in
-  let columns = column_basis ~jobs polys in
+  let columns = column_basis polys in
   if Obs.Metrics.enabled () then begin
     Obs.Metrics.set_gauge g_columns (Array.length columns);
     Obs.Metrics.set_gauge g_rows (List.length polys)
@@ -68,8 +31,6 @@ let build ?(jobs = 1) polys =
   Array.iteri (fun i m -> Mtbl.replace index m i) columns;
   let t = { columns; index } in
   let ncols = Array.length columns in
-  (* one row per polynomial; [index] is frozen by now, so concurrent reads
-     from the pool's domains are safe *)
   let row_of p =
     let row = Gf2.Bitvec.create ncols in
     List.iter
@@ -77,17 +38,7 @@ let build ?(jobs = 1) polys =
       (Anf.Poly.monomials p);
     row
   in
-  let[@check.allow
-       "domain-capture"
-         "index is frozen before the parallel row build; pool tasks only \
-          read it"] rows =
-    if jobs <= 1 then List.map row_of polys
-    else Runtime.Pool.map_list (Runtime.Pool.get ~jobs) row_of polys
-  in
-  if jobs <= 1 then
-    Runtime.Pool.Grain.observe build_gauge ~ops:n_polys
-      ~wall_s:(Unix.gettimeofday () -. t0);
-  (t, Gf2.Matrix.of_rows ~cols:ncols rows)
+  (t, Gf2.Matrix.of_rows ~cols:ncols (List.map row_of polys))
 
 let n_columns t = Array.length t.columns
 let columns t = t.columns

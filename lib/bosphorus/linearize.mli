@@ -6,22 +6,9 @@
 
 type t
 
-(** [build ?jobs polys] computes the column basis and the coefficient
-    matrix of the system (one row per polynomial, in the given order).
-    With [jobs > 1] the monomial columns are hashed and the rows built in
-    parallel over the shared {!Runtime.Pool}; the basis is sorted after
-    the merge, so the result is identical for every [jobs].
-
-    [jobs] is a ceiling: a measured granularity gauge (per-polynomial
-    sequential cost vs. pool dispatch cost) keeps small systems on the
-    inline path, so [jobs > 1] is never slower than [jobs = 1] on builds
-    too small to amortise the dispatch. *)
-val build : ?jobs:int -> Anf.Poly.t list -> t * Gf2.Matrix.t
-
-(** Whether {!build} would dispatch on the pool for this system size and
-    [jobs] — the auto-tuned granularity decision, exposed so benches can
-    record the chosen mode next to the timing. *)
-val build_parallel_worthwhile : n_polys:int -> jobs:int -> unit -> bool
+(** [build polys] computes the column basis and the coefficient matrix
+    of the system (one row per polynomial, in the given order). *)
+val build : Anf.Poly.t list -> t * Gf2.Matrix.t
 
 (** Number of monomial columns. *)
 val n_columns : t -> int

@@ -31,11 +31,11 @@ module Ptbl = Hashtbl.Make (struct
   let hash = P.hash
 end)
 
-(* Expand one chunk of the polynomial list into a locally-deduplicated
-   batch, preserving first-occurrence order.  A tripped budget stops the
-   chunk at its next poll; the products found so far are kept — each is a
-   sound consequence on its own, so a partial batch only loses facts. *)
-let expand_chunk ?budget multipliers chunk =
+(* Expand into a deduplicated list, preserving first-occurrence order.
+   A tripped budget stops the expansion at its next poll; the products
+   found so far are kept — each is a sound consequence on its own, so a
+   partial expansion only loses facts. *)
+let expand ?budget ~multipliers polys =
   let seen = Ptbl.create 64 in
   let out = ref [] in
   let push p =
@@ -52,81 +52,9 @@ let expand_chunk ?budget multipliers chunk =
        (fun p ->
          push p;
          List.iter (fun m -> push (P.mul_monomial p m)) multipliers)
-       chunk
+       polys
    with Harness.Budget.Tripped _ -> ());
   List.rev !out
-
-(* Granularity auto-tuning: parallel expansion only pays once the product
-   count is large enough to amortise a pool dispatch.  The gauge learns
-   the sequential cost per product from real sequential runs (every
-   un-budgeted inline expansion feeds it), so the first calls after
-   process start rely on the seed and later ones on measurement. *)
-let expand_gauge =
-  Runtime.Pool.Grain.gauge ~name:"xl.expand" ~default_op_ns:2000.0
-
-let expand_ops ~n_polys ~n_multipliers = n_polys * (n_multipliers + 1)
-
-let expand_parallel_worthwhile ~n_polys ~n_multipliers ~jobs () =
-  jobs > 1
-  && Runtime.Pool.Grain.worth_parallel_jobs ~jobs expand_gauge
-       ~ops:(expand_ops ~n_polys ~n_multipliers)
-
-let expand ?(jobs = 1) ?budget ~multipliers polys =
-  let n_multipliers = List.length multipliers in
-  let n_polys = List.length polys in
-  let sequential () =
-    let out, wall_s = Harness.Timing.time (fun () -> expand_chunk ?budget multipliers polys) in
-    (* a tripped budget would under-report the sequential cost, so only
-       clean runs feed the gauge *)
-    if Option.is_none budget then
-      Runtime.Pool.Grain.observe expand_gauge
-        ~ops:(expand_ops ~n_polys ~n_multipliers) ~wall_s;
-    out
-  in
-  if
-    jobs <= 1
-    || not (expand_parallel_worthwhile ~n_polys ~n_multipliers ~jobs ())
-  then sequential ()
-  else begin
-    (* each domain expands a contiguous chunk into a local batch; the
-       batches are merged through one table in chunk order.  Both the local
-       and the global dedup keep first occurrences, and chunks are
-       contiguous, so the result list is identical to the sequential one.
-       Under a budget, a trip in any chunk sets the shared cancellation
-       token: in-flight chunks stop at their next poll (returning partial
-       batches), queued chunks are skipped entirely, and every future is
-       still joined — the merge below harvests whatever completed. *)
-    let pool = Runtime.Pool.get ~jobs in
-    let cancel = Option.map Harness.Budget.cancel_token budget in
-    let batches =
-      Runtime.Pool.run_results ?cancel pool
-        (List.map
-           (fun chunk () ->
-             Obs.Trace.with_span ~name:"xl.expand_chunk"
-               ~args:
-                 (if Obs.Trace.enabled () then
-                    [ ("polys", string_of_int (List.length chunk)) ]
-                  else [])
-               (fun () -> expand_chunk ?budget multipliers chunk))
-           (Runtime.Pool.chunk_list ~chunks:jobs polys))
-    in
-    let seen = Ptbl.create 64 in
-    let out = ref [] in
-    List.iter
-      (function
-        | Ok batch ->
-            List.iter
-              (fun p ->
-                if not (Ptbl.mem seen p) then begin
-                  Ptbl.replace seen p ();
-                  out := p :: !out
-                end)
-              batch
-        | Error Runtime.Pool.Cancelled -> ()
-        | Error e -> raise e)
-      batches;
-    List.rev !out
-  end
 
 let retain_facts polys =
   List.filter
@@ -264,8 +192,8 @@ let run_impl ~config ~rng ?budget polys =
       in
       match
         Obs.Trace.with_span ~name:"xl.linearize_reduce" (fun () ->
-            let lin, matrix = Linearize.build ~jobs:config.jobs expanded in
-            let rank = Gf2.Matrix.rref_m4rm ~jobs:config.jobs ~poll matrix in
+            let lin, matrix = Linearize.build expanded in
+            let rank = Gf2.Matrix.rref_m4rm ~poll matrix in
             (lin, matrix, rank))
       with
       | lin, matrix, rank ->

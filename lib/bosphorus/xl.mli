@@ -37,34 +37,18 @@ val run :
     equation itself covers the degree-0 multiplier). *)
 val multipliers : vars:int list -> degree:int -> Anf.Monomial.t list
 
-(** [expand ?jobs ~multipliers polys] is the full (unsampled) XL
+(** [expand ?budget ~multipliers polys] is the full (unsampled) XL
     expansion: every polynomial times every multiplier, originals
-    included, without duplicates.  With [jobs > 1] the polynomial list is
-    partitioned across domains, each producing a locally-deduplicated
-    batch that is merged in chunk order — the output list is identical to
-    the sequential one.  Exposed for the Table I reproduction and tests.
+    included, without duplicates, in first-occurrence order.  Exposed for
+    the Table I reproduction and tests.
 
-    A tripped [budget] degrades instead of failing: in-flight chunks stop
-    at their next poll and contribute what they built, chunks not yet
-    started are skipped via the budget's cancellation token, and the merge
-    returns the (prefix-biased) partial expansion.
-
-    [jobs] is a ceiling, not a mandate: a measured granularity gauge
-    (sequential cost per product vs. pool dispatch cost) drops small
-    expansions back to the inline path, so [jobs > 1] is never slower
-    than [jobs = 1] on calls too small to amortise the dispatch. *)
+    A tripped [budget] degrades instead of failing: the expansion stops at
+    its next poll and returns the (prefix) partial expansion. *)
 val expand :
-  ?jobs:int ->
   ?budget:Harness.Budget.t ->
   multipliers:Anf.Monomial.t list ->
   Anf.Poly.t list ->
   Anf.Poly.t list
-
-(** Whether {!expand} would actually dispatch on the pool for this shape
-    and [jobs] — i.e. the auto-tuned granularity decision.  Exposed so
-    benches can record the chosen mode next to the timing. *)
-val expand_parallel_worthwhile :
-  n_polys:int -> n_multipliers:int -> jobs:int -> unit -> bool
 
 (** [retain_facts polys] filters to the fact shapes Bosphorus keeps. *)
 val retain_facts : Anf.Poly.t list -> Anf.Poly.t list

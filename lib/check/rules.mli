@@ -3,8 +3,8 @@
     [analyze] walks a [.cmt] implementation structure and returns the
     findings (waived and unwaived, deduplicated and sorted) for:
 
-    - {b domain-capture}: closures handed to [Runtime.Pool]
-      ([run]/[run_results]/[map_list]/[map_array]/[parallel_for]) must not
+    - {b domain-capture}: closures handed to [Runtime.Pool.run_pinned]
+      (each runs on a domain of its own) must not
       capture non-atomic mutable state — refs, hash tables, [Buffer.t],
       [Queue.t], [Stack.t], manifest-declared [[mutable]] types — nor
       write captured arrays/bytes or mutable record fields.  Locally

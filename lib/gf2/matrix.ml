@@ -86,8 +86,9 @@ let in_row_space m v =
 
 (* Self-checking hook of the audit layer (see lib/audit): when the
    environment opts in, every elimination verifies its own output.  Read
-   eagerly, not lazily: eliminations run concurrently under the domain
-   pool, and Lazy.force from several domains races (Lazy.RacyLazy). *)
+   eagerly, not lazily: eliminations run concurrently on the daemon's
+   worker domains, and Lazy.force from several domains races
+   (Lazy.RacyLazy). *)
 let audit_hooks =
   match Sys.getenv_opt "BOSPHORUS_AUDIT" with
   | Some ("1" | "true" | "yes") -> true
@@ -124,49 +125,6 @@ let rref m =
   audit_rref_result "Matrix.rref" m;
   !pivot_row
 
-(* ---------------- M4RM granularity auto-tuning ---------------- *)
-
-(* Cost gauge for the trailing update: one work unit = one row-word
-   touched.  Seeded pessimistically and calibrated on first use by timing
-   a real XOR sweep on this host, so the parallel/sequential decision is
-   driven by measured numbers (see Runtime.Pool.Grain). *)
-let m4rm_gauge = Runtime.Pool.Grain.gauge ~name:"gf2.m4rm" ~default_op_ns:1.0
-
-let m4rm_calibrated = Atomic.make false
-
-let calibrate_m4rm () =
-  if not (Atomic.get m4rm_calibrated) then begin
-    Atomic.set m4rm_calibrated true;
-    let words = 1 lsl 12 in
-    let src = Bitvec.create (words * Sys.int_size) in
-    let dst = Bitvec.create (words * Sys.int_size) in
-    Bitvec.set src 1 true;
-    let reps = 64 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      Bitvec.xor_into ~src ~dst
-    done;
-    let wall_s = Unix.gettimeofday () -. t0 in
-    (* several observations so the blend converges onto the measurement *)
-    for _ = 1 to 4 do
-      Runtime.Pool.Grain.observe m4rm_gauge ~ops:(reps * words) ~wall_s
-    done
-  end
-
-(* Work units of one trailing-update pass: every row reads [k] pivot bits
-   and XORs up to a full row of words. *)
-let m4rm_ops ~rows ~cols ~k = rows * (Bitvec.words_for cols + k)
-
-let m4rm_parallel_worthwhile ?(k = 6) ~rows ~cols ~jobs () =
-  jobs > 1
-  && begin
-       calibrate_m4rm ();
-       (* decided from [jobs] alone: probing must not spawn idle domains
-          that would slow the sequential run it then falls back to *)
-       Runtime.Pool.Grain.worth_parallel_jobs ~jobs m4rm_gauge
-         ~ops:(m4rm_ops ~rows ~cols ~k)
-     end
-
 (* Words per cache panel of the blocked trailing update: the 2^k-row
    lookup table slice plus one row slice should stay resident, so target
    roughly 256 KiB of table per sweep. *)
@@ -181,23 +139,9 @@ let panel_words ~b = Int.max 64 ((1 lsl 15) / Int.max 1 (1 lsl (b - 3)))
    The trailing update (phase C, the bulk of the work) is cache-blocked:
    each row's table index is computed up front into a flat scratch array,
    then the XORs sweep panel-of-words by panel-of-words so the lookup
-   table slice stays hot instead of being evicted between rows.  With
-   [jobs > 1] the update is partitioned row-wise across the domain pool —
-   unless the measured granularity gauge says the matrix is too small to
-   amortise dispatch, in which case it runs inline (jobs is ignored).
-   Pivot selection and table construction stay sequential, and the
-   per-row updates are pure functions of the read-only table, so the
-   resulting RREF is bit-identical to the sequential one whatever [jobs]
-   is. *)
-let rref_m4rm ?(k = 6) ?(jobs = 1) ?(poll = fun () -> ()) m =
+   table slice stays hot instead of being evicted between rows. *)
+let rref_m4rm ?(k = 6) ?(poll = fun () -> ()) m =
   if k < 1 || k > 20 then invalid_arg "Matrix.rref_m4rm: k in 1..20";
-  (* the pool is only obtained (and its domains only spawned) once the
-     gauge has decided the update is big enough to dispatch *)
-  let pool =
-    if m4rm_parallel_worthwhile ~k ~rows:m.nrows ~cols:m.ncols ~jobs ()
-    then Runtime.Pool.get ~jobs
-    else Runtime.Pool.get ~jobs:1
-  in
   let pivot_row = ref 0 in
   let col = ref 0 in
   (* pivots.(t) is the t-th pivot column of the current block, ascending;
@@ -265,38 +209,29 @@ let rref_m4rm ?(k = 6) ?(jobs = 1) ?(poll = fun () -> ()) m =
          clears them), then the XORs run panel-of-words by panel-of-words
          across the rows so the table slice in use stays resident.  XOR is
          word-local, so sweeping panels left-to-right produces the same
-         words as one full-row pass.  Rows are touched only by their own
-         range's task; the table and pivots are read-only here. *)
+         words as one full-row pass. *)
       let panel = panel_words ~b in
-      let update_rows lo hi =
-        for r = lo to hi - 1 do
-          if r < pr || r >= pr + b then begin
-            let idx = ref 0 in
-            for j = 0 to b - 1 do
-              if Bitvec.get m.data.(r) pivots.(j) then idx := !idx lor (1 lsl j)
-            done;
-            row_idx.(r) <- !idx
-          end
-          else row_idx.(r) <- 0
-        done;
-        let w = ref 0 in
-        while !w < nwords do
-          let hi_w = Int.min nwords (!w + panel) in
-          for r = lo to hi - 1 do
-            let idx = row_idx.(r) in
-            if idx <> 0 then
-              Bitvec.xor_into_range ~src:table.(idx) ~dst:m.data.(r)
-                ~lo_word:!w ~hi_word:hi_w
+      for r = 0 to m.nrows - 1 do
+        if r < pr || r >= pr + b then begin
+          let idx = ref 0 in
+          for j = 0 to b - 1 do
+            if Bitvec.get m.data.(r) pivots.(j) then idx := !idx lor (1 lsl j)
           done;
-          w := hi_w
-        done
-      in
-      ((Runtime.Pool.parallel_for pool ~lo:0 ~hi:m.nrows update_rows)
-      [@check.allow
-        "domain-capture"
-          "each task writes only the row_idx slots in its own [lo, hi) row \
-           range; ranges are disjoint, so no two domains touch the same \
-           element"]);
+          row_idx.(r) <- !idx
+        end
+        else row_idx.(r) <- 0
+      done;
+      let w = ref 0 in
+      while !w < nwords do
+        let hi_w = Int.min nwords (!w + panel) in
+        for r = 0 to m.nrows - 1 do
+          let idx = row_idx.(r) in
+          if idx <> 0 then
+            Bitvec.xor_into_range ~src:table.(idx) ~dst:m.data.(r)
+              ~lo_word:!w ~hi_word:hi_w
+        done;
+        w := hi_w
+      done;
       pivot_row := pr + b;
       col := block_end
     end

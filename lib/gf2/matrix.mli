@@ -41,7 +41,7 @@ val xor_rows : t -> src:int -> dst:int -> unit
     columns, as in Table I of the paper. *)
 val rref : t -> int
 
-(** [rref_m4rm ?k ?jobs m] is {!rref} by the Method of the Four Russians
+(** [rref_m4rm ?k ?poll m] is {!rref} by the Method of the Four Russians
     (the algorithm M4RI is named after): pivots are found in blocks of up
     to [k] columns (default 6), the 2^b combinations of a block's pivot
     rows are tabulated gray-code style, and every other row is cleared with
@@ -49,28 +49,11 @@ val rref : t -> int
     Produces the same reduced row echelon form as {!rref} (RREF is
     canonical), roughly [k] times faster on large dense matrices.
 
-    With [jobs > 1] (default 1) each block's trailing row update is
-    partitioned across [jobs] domains of the shared {!Runtime.Pool}.
-    Pivot selection stays sequential and the update rows are disjoint, so
-    the result is bit-identical to the sequential elimination.
-
     [poll] (default a no-op) is called once per column block — a
     cooperative cancellation point for budgeted callers
     ({!Harness.Budget.poll}).  If it raises, the elimination aborts and
-    [m] is left half-reduced: discard it.
-
-    Requesting [jobs > 1] is a ceiling, not a command: when the measured
-    granularity gauge (see {!Runtime.Pool.Grain}) estimates the matrix too
-    small to amortise pool dispatch, the update runs inline and [jobs] is
-    ignored.  {!m4rm_parallel_worthwhile} exposes that decision. *)
-val rref_m4rm : ?k:int -> ?jobs:int -> ?poll:(unit -> unit) -> t -> int
-
-(** [m4rm_parallel_worthwhile ?k ~rows ~cols ~jobs ()] is the granularity
-    decision {!rref_m4rm} would make for a [rows] x [cols] elimination at
-    parallel width [jobs]: [true] iff the trailing updates would actually
-    be dispatched on the pool.  Benchmarks record this as the chosen
-    execution mode. *)
-val m4rm_parallel_worthwhile : ?k:int -> rows:int -> cols:int -> jobs:int -> unit -> bool
+    [m] is left half-reduced: discard it. *)
+val rref_m4rm : ?k:int -> ?poll:(unit -> unit) -> t -> int
 
 (** [rank m] is the GF(2) rank (computed on a copy; [m] is unchanged). *)
 val rank : t -> int

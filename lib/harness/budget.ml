@@ -27,7 +27,6 @@ type t = {
   mutable cells_peak : int;
   mutable conflicts : int;
   mutable iteration : int;
-  cancel : Runtime.Pool.Cancel.t;
   trip_cell : trip option Atomic.t;
 }
 
@@ -47,7 +46,6 @@ let create ?timeout_s ?max_memory_monomials ?max_total_conflicts
     cells_peak = 0;
     conflicts = 0;
     iteration = 0;
-    cancel = Runtime.Pool.Cancel.create ();
     trip_cell = Atomic.make None;
   }
 
@@ -56,8 +54,7 @@ let unlimited () = create ()
 let is_limited t =
   t.deadline <> None || t.max_cells <> None || t.max_conflicts <> None
 
-let cancel_token t = t.cancel
-let cancelled t = Runtime.Pool.Cancel.is_set t.cancel
+let cancelled t = Atomic.get t.trip_cell <> None
 let tripped t = Atomic.get t.trip_cell
 let set_iteration t i = t.iteration <- i
 let full_checks t = t.full_checks
@@ -77,12 +74,10 @@ let remaining_time_s t =
   Option.map (fun d -> Float.max 0.0 (d -. Unix.gettimeofday ())) t.deadline
 
 (* First trip wins; every later trip attempt just reads the winner.  The
-   cancel token is set exactly once, by the winner, which also drops an
-   instant mark on the trace so the trip is visible on the timeline of
+   winner drops an instant mark on the trace so the trip is visible on the timeline of
    whichever domain detected it. *)
 let record t trip =
-  if Atomic.compare_and_set t.trip_cell None (Some trip) then begin
-    Runtime.Pool.Cancel.set t.cancel;
+  if Atomic.compare_and_set t.trip_cell None (Some trip) then
     Obs.Trace.instant "budget.trip"
       ~args:
         [
@@ -90,8 +85,7 @@ let record t trip =
           ("layer", trip.layer);
           ("iteration", string_of_int trip.at_iteration);
           ("detail", trip.detail);
-        ]
-  end;
+        ];
   Option.get (Atomic.get t.trip_cell)
 
 (* ------------------------------------------------------------------ *)

@@ -17,9 +17,8 @@
     Checking is cooperative and amortized: hot loops call {!poll} every
     work unit, which is an increment and one atomic load; only every
     [poll_every]-th poll runs the full (clock-reading) check.  A tripped
-    budget records a {!trip} (first trip wins, atomically), sets its
-    {!Runtime.Pool.Cancel} token so queued pool chunks stop scheduling and
-    sibling domains notice on their next poll, and raises {!Tripped}.
+    budget records a {!trip} (first trip wins, atomically) that sibling
+    domains notice on their next poll, and raises {!Tripped}.
     Layers that can degrade gracefully catch {!Tripped} and return the
     sound partial results they already hold.
 
@@ -63,10 +62,7 @@ val unlimited : unit -> t
 (** [true] iff at least one ceiling was configured. *)
 val is_limited : t -> bool
 
-(** The token shared with {!Runtime.Pool}: set exactly when the budget
-    has tripped. *)
-val cancel_token : t -> Runtime.Pool.Cancel.t
-
+(** [true] exactly when the budget has tripped. *)
 val cancelled : t -> bool
 
 (** The first trip, if any. *)
@@ -76,9 +72,8 @@ val tripped : t -> trip option
 val set_iteration : t -> int -> unit
 
 (** [cancel_now t ~layer ~detail] trips the budget from outside the
-    computation (kind {!Cancelled}): the trip is recorded, the
-    {!Runtime.Pool.Cancel} token is set, and every cooperative poll in
-    the running work raises from then on.  Never raises itself — the
+    computation (kind {!Cancelled}): the trip is recorded and every
+    cooperative poll in the running work raises from then on.  Never raises itself — the
     caller (a service daemon cancelling a job, a signal handler) is not
     the party doing the work.  Idempotent after any first trip.  This is
     how a long-lived server revokes a request it already dispatched. *)

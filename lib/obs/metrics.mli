@@ -4,7 +4,7 @@
     answer {e how much} — facts learnt per technique, propagations per
     round, substitutions applied, monomial counts.  Handles are cheap
     records around atomics, so the same counter can be bumped from every
-    pool domain without contention beyond the cache line; registration
+    domain without contention beyond the cache line; registration
     (name lookup) takes a mutex and is meant to happen once, at module
     init or per run, never per event.
 

@@ -1,8 +1,9 @@
 (** Low-overhead nestable span tracing with per-domain buffers.
 
     The fact-learning loop interleaves XL, ElimLin and conflict-bounded
-    CDCL across a domain pool; to see {e which} technique learns {e what},
-    {e when}, and at what cost, every layer wraps its work in spans.  The
+    CDCL, and the SAT stage can race portfolio seats on several domains;
+    to see {e which} technique learns {e what}, {e when}, and at what
+    cost, every layer wraps its work in spans.  The
     recorder is designed around two constraints:
 
     - {b Disabled runs pay one branch.}  Tracing is off by default; every
@@ -15,8 +16,8 @@
 
     The export format is Chrome trace-event JSON ({!to_json}): runs open
     directly in [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto},
-    with one track per domain, so pool-worker utilisation is visible at a
-    glance.  Buffers are bounded: past {!set_capacity} events per domain,
+    with one track per domain, so portfolio-seat utilisation is visible
+    at a glance.  Buffers are bounded: past {!set_capacity} events per domain,
     new spans are dropped (and counted in {!dropped}) rather than grown —
     an already-open span always records its end, so exported begin/end
     events stay matched even at the cap. *)

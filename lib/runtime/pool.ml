@@ -1,7 +1,10 @@
-(* A work queue shared by a fixed set of worker domains, plus futures
-   joined in submission order.  The calling domain helps execute queued
-   tasks while it waits, which both uses the caller as the jobs-th worker
-   and makes nested [run] calls deadlock-free. *)
+(* Dedicated domains for long-running tasks: a queue served by a
+   process-global worker set, plus futures joined in submission order.
+
+   [inflight] counts tasks currently queued or running across all
+   concurrent [run_pinned] calls; the worker set is grown to match before
+   submission, so every pinned task has a dedicated domain and racing
+   tasks can never deadlock behind one another. *)
 
 module Cancel = struct
   type t = bool Atomic.t
@@ -21,106 +24,44 @@ type 'a future = {
   mutable state : 'a state;
 }
 
-type shared = {
-  qm : Mutex.t;
-  qc : Condition.t;
-  queue : (unit -> unit) Queue.t;
-  mutable closed : bool;
-  mutable workers : unit Domain.t list;
-  mutable n_workers : int;
-}
+(* Guarded by [qm]: the queue, the worker count and the in-flight
+   count.  Workers never exit: an idle one blocks on [qc], and the
+   process ends without joining it. *)
+let qm = Mutex.create ()
+let qc = Condition.create ()
+let queue : (unit -> unit) Queue.t = Queue.create ()
+let n_workers = ref 0
+let inflight = ref 0
 
-type t = {
-  shared : shared option; (* None: sequential fallback *)
-  pjobs : int;
-  owned : bool; (* true for pools from [create]: [shutdown] may join them *)
-}
-
-let jobs t = t.pjobs
-
-let rec worker_loop sh =
-  Mutex.lock sh.qm;
-  while Queue.is_empty sh.queue && not sh.closed do
-    Condition.wait sh.qc sh.qm
+let rec worker_loop () =
+  Mutex.lock qm;
+  while Queue.is_empty queue do
+    Condition.wait qc qm
   done;
-  if Queue.is_empty sh.queue then Mutex.unlock sh.qm (* closed: exit *)
-  else begin
-    let task = Queue.pop sh.queue in
-    Mutex.unlock sh.qm;
-    task ();
-    worker_loop sh
-  end
+  let task = Queue.pop queue in
+  Mutex.unlock qm;
+  task ();
+  worker_loop ()
 
-let make_shared () =
-  {
-    qm = Mutex.create ();
-    qc = Condition.create ();
-    queue = Queue.create ();
-    closed = false;
-    workers = [];
-    n_workers = 0;
-  }
+let reserve n =
+  Mutex.lock qm;
+  inflight := !inflight + n;
+  while !n_workers < !inflight do
+    ignore (Domain.spawn worker_loop : unit Domain.t);
+    incr n_workers
+  done;
+  Mutex.unlock qm
 
-let spawn_workers sh n =
-  while sh.n_workers < n do
-    sh.workers <- Domain.spawn (fun () -> worker_loop sh) :: sh.workers;
-    sh.n_workers <- sh.n_workers + 1
-  done
+let release n =
+  Mutex.lock qm;
+  inflight := !inflight - n;
+  Mutex.unlock qm
 
-let shutdown_shared sh =
-  Mutex.lock sh.qm;
-  sh.closed <- true;
-  Condition.broadcast sh.qc;
-  Mutex.unlock sh.qm;
-  List.iter Domain.join sh.workers;
-  sh.workers <- [];
-  sh.n_workers <- 0
-
-let sequential = { shared = None; pjobs = 1; owned = false }
-
-let create ~jobs =
-  if jobs <= 1 then sequential
-  else begin
-    let sh = make_shared () in
-    spawn_workers sh (jobs - 1);
-    { shared = Some sh; pjobs = jobs; owned = true }
-  end
-
-(* One process-global worker set, grown on demand and reaped at exit so
-   idle workers blocked on the condition variable cannot outlive main. *)
-let global : shared option ref = ref None
-let global_m = Mutex.create ()
-
-let get ~jobs =
-  if jobs <= 1 then sequential
-  else begin
-    Mutex.lock global_m;
-    let sh =
-      match !global with
-      | Some sh -> sh
-      | None ->
-          let sh = make_shared () in
-          global := Some sh;
-          Stdlib.at_exit (fun () -> shutdown_shared sh);
-          sh
-    in
-    spawn_workers sh (jobs - 1);
-    Mutex.unlock global_m;
-    { shared = Some sh; pjobs = jobs; owned = false }
-  end
-
-let shutdown t =
-  match t.shared with Some sh when t.owned -> shutdown_shared sh | _ -> ()
-
-let with_pool ~jobs f =
-  let t = create ~jobs in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
-let submit sh fut f =
+let submit f =
+  let fut = { fm = Mutex.create (); fc = Condition.create (); state = Pending } in
   let task () =
-    (* Every pooled task is a span on whichever domain executes it (a
-       worker or the helping caller), so worker utilisation shows up as
-       one trace track per domain. *)
+    (* every pinned task is a span on the domain that runs it, so each
+       seat shows up as its own trace track *)
     let r =
       try Done (Obs.Trace.with_span ~name:"pool.task" f) with e -> Failed e
     in
@@ -129,48 +70,25 @@ let submit sh fut f =
     Condition.broadcast fut.fc;
     Mutex.unlock fut.fm
   in
-  Mutex.lock sh.qm;
-  Queue.push task sh.queue;
-  Condition.signal sh.qc;
-  Mutex.unlock sh.qm
+  Mutex.lock qm;
+  Queue.push task queue;
+  Condition.signal qc;
+  Mutex.unlock qm;
+  fut
 
-let try_pop sh =
-  Mutex.lock sh.qm;
-  let task = if Queue.is_empty sh.queue then None else Some (Queue.pop sh.queue) in
-  Mutex.unlock sh.qm;
-  task
-
-(* Wait for [fut], executing other queued tasks meanwhile. *)
-let rec await sh fut =
+let await fut =
   Mutex.lock fut.fm;
-  match fut.state with
-  | Done v ->
-      Mutex.unlock fut.fm;
-      Ok v
-  | Failed e ->
-      Mutex.unlock fut.fm;
-      Error e
-  | Pending -> (
-      Mutex.unlock fut.fm;
-      match try_pop sh with
-      | Some task ->
-          task ();
-          await sh fut
-      | None ->
-          (* the queue is empty, so [fut]'s task is running on some domain
-             (possibly popped between our two checks): block until done *)
-          Mutex.lock fut.fm;
-          let rec wait () =
-            match fut.state with
-            | Pending ->
-                Condition.wait fut.fc fut.fm;
-                wait ()
-            | Done v -> Ok v
-            | Failed e -> Error e
-          in
-          let r = wait () in
-          Mutex.unlock fut.fm;
-          r)
+  let rec wait () =
+    match fut.state with
+    | Pending ->
+        Condition.wait fut.fc fut.fm;
+        wait ()
+    | Done v -> Ok v
+    | Failed e -> Error e
+  in
+  let r = wait () in
+  Mutex.unlock fut.fm;
+  r
 
 (* Wrap a thunk so that a set cancellation token skips the work: the
    future still completes (with [Failed Cancelled]), so joins never block
@@ -180,294 +98,17 @@ let guard cancel f =
   | None -> f
   | Some tok -> fun () -> if Cancel.is_set tok then raise Cancelled else f ()
 
-let run_results ?cancel t thunks =
-  match t.shared with
-  | None ->
-      List.map
-        (fun f -> try Ok ((guard cancel f) ()) with e -> Error e)
-        thunks
-  | Some sh ->
-      (* preallocated result slots, filled in submission order — the merge
-         path never conses an accumulator list per chunk *)
-      let tasks = Array.of_list thunks in
-      let n = Array.length tasks in
-      if n = 0 then []
-      else begin
-        let futs =
-          Array.init n (fun i ->
-              let fut =
-                { fm = Mutex.create (); fc = Condition.create (); state = Pending }
-              in
-              submit sh fut (guard cancel tasks.(i));
-              fut)
-        in
-        let out = Array.make n (Error Cancelled) in
-        (* join everything before returning, so no task is still mutating
-           caller-owned state when control returns *)
-        for i = 0 to n - 1 do
-          out.(i) <- await sh futs.(i)
-        done;
-        Array.to_list out
-      end
-
-let run ?cancel t thunks =
-  match (t.shared, cancel, thunks) with
-  | None, None, _ -> List.map (fun f -> f ()) thunks
-  | Some _, None, [] -> []
-  | Some _, None, [ f ] -> [ f () ]
-  | _ ->
-      List.map
-        (function Ok v -> v | Error e -> raise e)
-        (run_results ?cancel t thunks)
-
-(* ------------------------------------------------------------------ *)
-(* Pinned long-running tasks                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* A second process-global worker set, reserved for long-running tasks
-   (portfolio SAT workers, background services).  Keeping it separate
-   from [global] means a task that occupies its domain for a whole solve
-   cannot sit in front of queued kernel chunks: the work queue keeps its
-   short-task latency, and pinned tasks keep their dedicated domains.
-
-   [pinned_inflight] counts tasks currently queued or running across all
-   concurrent [run_pinned] calls; the worker set is grown to match before
-   submission, so every pinned task has a dedicated domain and racing
-   tasks (whose protocol is "first finisher cancels the rest") can never
-   deadlock behind one another. *)
-let pinned : shared option ref = ref None
-let pinned_m = Mutex.create ()
-let pinned_inflight = ref 0
-
-let pinned_reserve n =
-  Mutex.lock pinned_m;
-  let sh =
-    match !pinned with
-    | Some sh -> sh
-    | None ->
-        let sh = make_shared () in
-        pinned := Some sh;
-        Stdlib.at_exit (fun () -> shutdown_shared sh);
-        sh
-  in
-  pinned_inflight := !pinned_inflight + n;
-  spawn_workers sh !pinned_inflight;
-  Mutex.unlock pinned_m;
-  sh
-
-let pinned_release n =
-  Mutex.lock pinned_m;
-  pinned_inflight := !pinned_inflight - n;
-  Mutex.unlock pinned_m
-
 let run_pinned ?cancel thunks =
   match thunks with
   | [] -> []
-  | [ f ] -> [ (try Ok ((guard cancel f) ()) with e -> Error e) ]
-  | _ ->
+  | first :: rest ->
       (* the caller runs the first thunk inline (it is a full participant
-         in the race); the rest get dedicated pinned domains *)
-      let tasks = Array.of_list thunks in
-      let n = Array.length tasks in
-      let sh = pinned_reserve (n - 1) in
+         in the race); the rest get dedicated domains *)
+      let n = List.length rest in
+      reserve n;
       Fun.protect
-        ~finally:(fun () -> pinned_release (n - 1))
+        ~finally:(fun () -> release n)
         (fun () ->
-          let futs =
-            Array.init (n - 1) (fun i ->
-                let fut =
-                  { fm = Mutex.create (); fc = Condition.create (); state = Pending }
-                in
-                submit sh fut (guard cancel tasks.(i + 1));
-                fut)
-          in
-          let first = try Ok ((guard cancel tasks.(0)) ()) with e -> Error e in
-          let out = Array.make n first in
-          for i = 0 to n - 2 do
-            (* plain join, no queue helping: stealing another caller's
-               pinned long task here would pin *us* for its duration *)
-            let fut = futs.(i) in
-            Mutex.lock fut.fm;
-            let rec wait () =
-              match fut.state with
-              | Pending ->
-                  Condition.wait fut.fc fut.fm;
-                  wait ()
-              | Done v -> Ok v
-              | Failed e -> Error e
-            in
-            out.(i + 1) <- wait ();
-            Mutex.unlock fut.fm
-          done;
-          Array.to_list out)
-
-let chunk_ranges ~chunks ~lo ~hi =
-  let n = hi - lo in
-  if n <= 0 then []
-  else begin
-    let c = max 1 (min chunks n) in
-    let base = n / c and extra = n mod c in
-    List.init c (fun i ->
-        let start = lo + (i * base) + min i extra in
-        let len = base + if i < extra then 1 else 0 in
-        (start, start + len))
-  end
-
-let chunk_list ~chunks xs =
-  match xs with
-  | [] -> []
-  | _ ->
-      let arr = Array.of_list xs in
-      List.map
-        (fun (lo, hi) -> Array.to_list (Array.sub arr lo (hi - lo)))
-        (chunk_ranges ~chunks ~lo:0 ~hi:(Array.length arr))
-
-let parallel_for t ~lo ~hi f =
-  match t.shared with
-  | None -> if hi > lo then f lo hi
-  | Some _ ->
-      ignore
-        (run t
-           (List.map
-              (fun (lo', hi') () -> f lo' hi')
-              (chunk_ranges ~chunks:t.pjobs ~lo ~hi)))
-
-(* Chunk results land directly in one preallocated output array (slot 0 is
-   computed inline to seed it) instead of being concatenated from per-chunk
-   arrays: the merge allocates nothing beyond the output itself.  Each slot
-   is written by exactly one task and the joins in [run] order those writes
-   before the caller reads. *)
-let map_array t f xs =
-  match t.shared with
-  | None -> Array.map f xs
-  | Some _ ->
-      let n = Array.length xs in
-      if n = 0 then [||]
-      else begin
-        let out = Array.make n (f xs.(0)) in
-        ignore
-          (run t
-             (List.map
-                (fun (lo, hi) () ->
-                  for i = lo to hi - 1 do
-                    out.(i) <- f xs.(i)
-                  done)
-                (chunk_ranges ~chunks:t.pjobs ~lo:1 ~hi:n)));
-        out
-      end
-
-let map_list t f xs =
-  match t.shared with
-  | None -> List.map f xs
-  | Some _ -> Array.to_list (map_array t f (Array.of_list xs))
-
-(* ------------------------------------------------------------------ *)
-(* Granularity auto-tuning                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Parallelism only pays when the work dwarfs the dispatch round-trip
-   (queue mutex, wake-up, futures, joins).  [Grain] measures that
-   round-trip once per process on the real pool, keeps a per-kernel
-   estimate of sequential nanoseconds-per-work-unit, and [choose] hands
-   back the sequential pool whenever the estimated parallel saving cannot
-   cover a safety multiple of the dispatch cost.  Kernels feed measured
-   sequential runs back through [observe], so the threshold is driven by
-   this host's numbers rather than a baked-in constant. *)
-module Grain = struct
-  type gauge = { name : string; op_ns : float Atomic.t }
-
-  let gauge ~name ~default_op_ns =
-    { name; op_ns = Atomic.make (Float.max 0.001 default_op_ns) }
-
-  let name g = g.name
-  let op_ns g = Atomic.get g.op_ns
-
-  let dispatch_cache = Atomic.make 0.0
-
-  let measure_dispatch t =
-    let reps = 11 in
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      ignore (run t (List.init t.pjobs (fun _ () -> ())));
-      let t1 = Unix.gettimeofday () in
-      if t1 -. t0 < !best then best := t1 -. t0
-    done;
-    (* floor at 1us: a sub-resolution measurement must not convince the
-       tuner that dispatch is free *)
-    Float.max 1e3 (!best *. 1e9)
-
-  let dispatch_ns t =
-    match t.shared with
-    | None -> 0.0
-    | Some _ ->
-        let cached = Atomic.get dispatch_cache in
-        if cached > 0.0 then cached
-        else begin
-          let m = measure_dispatch t in
-          (* racing domains both measure; either result is fine *)
-          Atomic.set dispatch_cache m;
-          m
-        end
-
-  (* The estimated saving must exceed this multiple of the dispatch cost
-     before parallelism is chosen: estimates are rough and losing to
-     jobs=1 is the failure mode the bench gate guards. *)
-  let overhead_factor = 4.0
-
-  (* Dispatch estimate used before any pool has been measured.  It errs
-     pessimistic (a generous round-trip for a cold queue), which biases
-     the first decisions toward inline — the cheap failure mode. *)
-  let default_dispatch_ns = 20_000.0
-
-  let estimated_saving g ~ops ~eff =
-    let est_seq = float_of_int ops *. op_ns g in
-    let j = float_of_int eff in
-    est_seq *. (j -. 1.0) /. j
-
-  (* Decide from [jobs] alone, without creating, growing or even touching
-     a pool.  This is the probe-cost guarantee the kernels rely on: on
-     OCaml 5 every *spawned* domain joins each stop-the-world minor
-     collection, so merely asking "would jobs=4 pay off?" must not spawn
-     three idle domains and tax the sequential run it then chooses (a
-     measured ~20% on the allocation-heavy linearizer).  The dispatch
-     round-trip is taken from the process-wide cache when a real dispatch
-     has been measured, else from a conservative default; the first time
-     the cheap verdict says "parallel" the caller obtains the pool and
-     the measurement happens there, once, amortised over the process. *)
-  let worth_parallel_jobs ~jobs g ~ops =
-    let eff = min jobs (Domain.recommended_domain_count ()) in
-    eff > 1 && ops > 0
-    &&
-    let saving = estimated_saving g ~ops ~eff in
-    let cached = Atomic.get dispatch_cache in
-    let est = if cached > 0.0 then cached else default_dispatch_ns in
-    saving > overhead_factor *. est
-
-  let worth_parallel t g ~ops =
-    (* a pool can be oversubscribed (jobs=4 on a 1-core host): only the
-       hardware parallelism can actually shorten the wall clock *)
-    let eff = min t.pjobs (Domain.recommended_domain_count ()) in
-    eff > 1 && ops > 0
-    && estimated_saving g ~ops ~eff > overhead_factor *. dispatch_ns t
-
-  let choose t g ~ops = if worth_parallel t g ~ops then t else sequential
-
-  (* Feedback from a measured *sequential* run (parallel wall times say
-     nothing about the sequential cost the decision needs).  Exponential
-     blend so one noisy run cannot whipsaw the threshold. *)
-  let observe g ~ops ~wall_s =
-    if ops > 0 && wall_s > 0.0 then begin
-      let measured = wall_s *. 1e9 /. float_of_int ops in
-      let old = Atomic.get g.op_ns in
-      Atomic.set g.op_ns (0.5 *. (old +. measured))
-    end
-end
-
-let default_jobs () =
-  match Sys.getenv_opt "BOSPHORUS_JOBS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | Some _ | None -> Domain.recommended_domain_count ())
-  | None -> Domain.recommended_domain_count ()
+          let futs = List.map (fun f -> submit (guard cancel f)) rest in
+          let r0 = try Ok ((guard cancel first) ()) with e -> Error e in
+          r0 :: List.map await futs)

@@ -1,37 +1,21 @@
-(** Fixed-size OCaml 5 domain pool with a shared work queue and futures.
+(** Dedicated domains for long-running tasks.
 
-    The pool is the repository's single parallel-execution substrate: the
-    GF(2) elimination panel update, the XL expansion, the linearizer's
-    column hashing and the bench driver's multi-instance batching all run
-    through it.  Design constraints, in order:
+    The repository's one parallel mechanism inside a solve: the SAT
+    stage's portfolio seats ({!Sat.Portfolio}) each get a domain of their
+    own through {!run_pinned}.  Every other layer runs sequentially on the
+    calling domain.  (The solve daemon, [Service.Daemon], spawns its own
+    worker domains; each of those runs whole solves.)
 
-    - {b Determinism.}  Every splitting helper ([chunk_ranges],
-      [chunk_list], [map_list], [map_array], [parallel_for]) partitions its
-      input into contiguous chunks whose boundaries depend only on the
-      pool's [jobs] value, and [run] joins futures in submission order.
-      Tasks that write disjoint state therefore produce results independent
-      of worker scheduling: same [jobs], same output — and for tasks whose
-      output is scheduling-independent (e.g. RREF), any [jobs] gives the
-      same output.
-    - {b Graceful sequential fallback.}  A pool with [jobs <= 1] spawns no
-      domains and runs everything inline on the caller; all combinators
-      behave exactly like their [List]/[Array] counterparts.
-    - {b Reuse.}  [get ~jobs] hands out views onto one process-global
-      worker set (grown on demand, reaped at exit), so hot kernels can
-      request parallelism per call without paying a domain spawn.
-
-    The caller participates: while awaiting its futures it pops and runs
-    queued tasks, so nested [run] calls from inside tasks cannot deadlock
-    and a [jobs]-way pool reaches [jobs]-way parallelism with only
-    [jobs - 1] spawned domains. *)
-
-type t
+    The caller participates: it runs the first task itself, so [n] tasks
+    occupy [n - 1] spawned domains.  Spawned domains come from one
+    process-global worker set, grown so that every concurrently pinned
+    task has a domain; idle workers never delay process exit. *)
 
 (** Cancellation tokens: a single atomic flag shared between the party
-    that decides to abort (e.g. a tripped {!Harness.Budget}) and the tasks
-    that should stop.  Setting the token never interrupts a running task
-    pre-emptively — tasks are expected to poll cooperatively — but it does
-    prevent queued-not-yet-started tasks from running at all. *)
+    that decides to abort (e.g. a portfolio seat that finished first) and
+    the tasks that should stop.  Setting the token never interrupts a
+    running task pre-emptively — tasks are expected to poll cooperatively —
+    but it does prevent not-yet-started tasks from running at all. *)
 module Cancel : sig
   type t
 
@@ -43,142 +27,15 @@ module Cancel : sig
   val is_set : t -> bool
 end
 
-(** Raised inside a task slot whose cancellation token was set before the
-    task started (and by {!run} when such a slot is the first failure). *)
+(** The error of a task slot whose cancellation token was set before the
+    task started. *)
 exception Cancelled
 
-(** [create ~jobs] spawns a private pool with [max 0 (jobs - 1)] worker
-    domains ([jobs <= 1] gives the sequential pool).  Shut it down with
-    {!shutdown} (private pools are not reaped automatically). *)
-val create : jobs:int -> t
-
-(** [get ~jobs] is a view with parallel width [jobs] onto the shared
-    process-global worker set, growing it if it has fewer than [jobs - 1]
-    workers.  The global set is shut down via [at_exit].  [jobs <= 1]
-    returns the sequential pool. *)
-val get : jobs:int -> t
-
-(** The parallel width this pool was requested with (>= 1).  All chunking
-    combinators cut their input into at most this many pieces. *)
-val jobs : t -> int
-
-(** [shutdown t] drains and joins a pool created with {!create}; no-op on
-    sequential pools and on views from {!get}. *)
-val shutdown : t -> unit
-
-(** [with_pool ~jobs f] runs [f] on a private pool and shuts it down
-    afterwards, exceptions included. *)
-val with_pool : jobs:int -> (t -> 'a) -> 'a
-
-(** [run ?cancel t thunks] executes the thunks (on workers plus the
-    calling domain) and returns their results in submission order.  All
-    thunks are run to completion even when some fail; the first failure in
-    submission order is then re-raised.  With a sequential pool and no
-    token this is [List.map (fun f -> f ()) thunks].  With [cancel],
-    thunks whose token is set before they start fail with {!Cancelled}
-    (in-flight thunks are never interrupted: they must poll the token, or
-    a {!Harness.Budget}, themselves). *)
-val run : ?cancel:Cancel.t -> t -> (unit -> 'a) list -> 'a list
-
-(** [run_results ?cancel t thunks] is {!run} without the re-raise: one
-    [result] per submitted thunk, in submission order, [Error Cancelled]
-    for slots skipped by the token.  Every future is joined before
-    returning — a tripped budget can therefore harvest the successful
-    chunks while abandoned ones are accounted for, never lost. *)
-val run_results : ?cancel:Cancel.t -> t -> (unit -> 'a) list -> ('a, exn) result list
-
 (** [run_pinned ?cancel thunks] runs long-lived tasks on {e dedicated}
-    domains beside the work queue: the calling domain runs the first
-    thunk, every other thunk gets a domain from a separate process-global
-    long-task worker set (grown so that all currently pinned tasks have
-    one, reaped at exit).  Unlike {!run}, pinned tasks never share the
-    kernel work queue — a portfolio solver that occupies its domain for
-    seconds cannot starve queued m4rm/xl chunks — and the joining caller
-    never steals another caller's long task.  Results come back in
-    submission order, every future joined, [Error] for failed or
-    token-skipped slots (in-flight tasks must poll [cancel] themselves,
-    exactly as with {!run}). *)
+    domains: the calling domain runs the first thunk, every other thunk
+    gets a domain of its own, so racing tasks (whose protocol is "first
+    finisher cancels the rest") can never queue behind one another, and
+    the joining caller never runs another caller's task.  Results come
+    back in submission order, every future joined, [Error] for failed or
+    token-skipped slots (in-flight tasks must poll [cancel] themselves). *)
 val run_pinned : ?cancel:Cancel.t -> (unit -> 'a) list -> ('a, exn) result list
-
-(** [map_list t f xs] maps [f] over [xs] with chunk-level parallelism,
-    preserving order: equal to [List.map f xs] whenever [f] is pure. *)
-val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-
-(** [map_array t f xs] is the array analogue of {!map_list}. *)
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-
-(** [parallel_for t ~lo ~hi f] calls [f lo' hi'] on contiguous sub-ranges
-    partitioning [\[lo, hi)], in parallel.  [f] must write only state owned
-    by its range. *)
-val parallel_for : t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
-
-(** [chunk_ranges ~chunks ~lo ~hi] is the deterministic partition of
-    [\[lo, hi)] into at most [chunks] contiguous, near-equal, in-order
-    ranges [(lo', hi')].  Exposed for tests. *)
-val chunk_ranges : chunks:int -> lo:int -> hi:int -> (int * int) list
-
-(** [chunk_list ~chunks xs] cuts [xs] into at most [chunks] contiguous
-    chunks in order; concatenating them restores [xs]. *)
-val chunk_list : chunks:int -> 'a list -> 'a list list
-
-(** Granularity auto-tuning: decide, from measured numbers, whether a
-    kernel invocation is big enough to be worth dispatching on the pool.
-
-    The dispatch round-trip (queue mutex, worker wake-up, futures, joins)
-    is measured once per process on the live pool; each kernel keeps a
-    {!gauge} — an adaptive estimate of its sequential cost per work unit —
-    and {!choose} returns the sequential pool whenever the estimated
-    parallel saving cannot cover a safety multiple of the dispatch cost.
-    Kernels report measured sequential runs back through {!observe}, so
-    the threshold tracks this host rather than a baked-in constant.
-    Decisions never change results (both pools compute bit-identical
-    outputs); they only change where the work runs. *)
-module Grain : sig
-  type gauge
-
-  (** [gauge ~name ~default_op_ns] makes a per-kernel cost gauge seeded
-      with a rough sequential cost per work unit in nanoseconds; the seed
-      only matters until the first {!observe}. *)
-  val gauge : name:string -> default_op_ns:float -> gauge
-
-  val name : gauge -> string
-
-  (** Current sequential-cost estimate, ns per work unit. *)
-  val op_ns : gauge -> float
-
-  (** Measured pool dispatch round-trip in ns (0 for sequential pools);
-      measured on first use, cached for the process lifetime. *)
-  val dispatch_ns : t -> float
-
-  (** [worth_parallel t g ~ops] is [true] when an invocation of [ops]
-      work units should be dispatched on [t] rather than run inline:
-      the estimated parallel saving must beat the measured dispatch
-      cost with margin.  Effective parallelism is clamped to
-      [Domain.recommended_domain_count ()] — an oversubscribed pool on
-      a small host stays inline, whatever its [jobs]. *)
-  val worth_parallel : t -> gauge -> ops:int -> bool
-
-  (** [worth_parallel_jobs ~jobs g ~ops] is the same decision made from
-      the requested width alone, {e without} creating or growing a pool.
-      Kernels must consult this before calling {!get}: on OCaml 5 every
-      spawned domain participates in each stop-the-world minor
-      collection, so a probe that spawns [jobs - 1] idle domains taxes
-      the very sequential run it decides on.  Uses the process-wide
-      cached dispatch measurement when one exists, else a conservative
-      default (biasing cold processes toward inline); the real
-      measurement happens on the first genuine parallel dispatch and is
-      cached for the process lifetime — probe cost stays bounded and
-      amortised. *)
-  val worth_parallel_jobs : jobs:int -> gauge -> ops:int -> bool
-
-  (** [choose t g ~ops] is [t] when parallelism is worth it, else the
-      sequential pool. *)
-  val choose : t -> gauge -> ops:int -> t
-
-  (** [observe g ~ops ~wall_s] feeds back a measured sequential run. *)
-  val observe : gauge -> ops:int -> wall_s:float -> unit
-end
-
-(** Default parallel width: the [BOSPHORUS_JOBS] environment variable if
-    set to a positive integer, else [Domain.recommended_domain_count ()]. *)
-val default_jobs : unit -> int

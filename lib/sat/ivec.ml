@@ -2,8 +2,8 @@
    lives in a [Bigarray.Array1] of native ints (c_layout): watcher lists,
    the trail and clause-reference lists sit in malloc'd memory the GC
    never scans or moves, and element access compiles to a direct
-   load/store with no write barrier.  Unlike the polymorphic {!Vec}, the
-   payload is unboxed and contiguous — the point of the clause arena. *)
+   load/store with no write barrier.  The payload is unboxed and
+   contiguous — the point of the clause arena. *)
 
 module A1 = Bigarray.Array1
 

@@ -114,8 +114,8 @@ type outcome = {
 
 (** [race ?conflict_budget ?time_budget_s ?interrupt ?share
     ?ternary_lbd_cap ~workers template] races the workers on [template]'s
-    formula using {!Runtime.Pool.run_pinned} (dedicated domains — a race
-    never starves the kernel work queue).  Worker 0 {e is} [template]
+    formula using {!Runtime.Pool.run_pinned} (one dedicated domain per
+    worker, so seats never queue behind one another).  Worker 0 {e is} [template]
     (its [config]/[phase_seed] fields are ignored); the others are deep
     clones, so [template]'s clauses are the immutable common snapshot.
 

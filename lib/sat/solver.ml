@@ -1065,7 +1065,7 @@ let invariant_violations t =
 (* Domain-safety note: a solver instance is confined to the domain that
    uses it — all search state lives in [t]; this module keeps no mutable
    globals, so independent instances may run on concurrent domains (the
-   bench driver's --jobs batching relies on this).  The audit flag is read
+   bench driver's table2 --jobs batching relies on this).  The audit flag is read
    eagerly rather than via [lazy]: Lazy.force from several domains races
    (Lazy.RacyLazy). *)
 let audit_hooks =

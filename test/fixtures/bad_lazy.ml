@@ -6,5 +6,5 @@ let table = lazy (Array.init 256 (fun i -> i * i))
 
 let lookup i = (Lazy.force table).(i)
 
-(* forcing from inside a pool task is flagged by the task scan too *)
-let in_task pool = Runtime.Pool.run pool [ (fun () -> Lazy.force table) ]
+(* forcing from inside a pinned task is flagged by the task scan too *)
+let in_task () = Runtime.Pool.run_pinned [ (fun () -> Lazy.force table) ]

@@ -3,14 +3,14 @@
    [hotpaths] in the test manifest. *)
 
 (* pure task closures capture nothing mutable *)
-let sum_squares pool xs =
-  let squares = Runtime.Pool.map_list pool (fun x -> x * x) xs in
-  List.fold_left ( + ) 0 squares
+let sum_squares xs =
+  let squares = Runtime.Pool.run_pinned (List.map (fun x () -> x * x) xs) in
+  List.fold_left (fun acc r -> match r with Ok y -> acc + y | Error _ -> acc) 0 squares
 
 (* Atomic.t is the sanctioned shared-state primitive *)
 let counter = Atomic.make 0
 
-let bump pool = Runtime.Pool.run pool [ (fun () -> Atomic.incr counter) ]
+let bump () = Runtime.Pool.run_pinned [ (fun () -> Atomic.incr counter) ]
 
 (* monomorphic comparisons *)
 let int_compare (x : int) (y : int) = Int.compare x y

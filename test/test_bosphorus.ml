@@ -862,83 +862,4 @@ let infra_suite =
       ] );
   ]
 
-(* ------------------------------------------------------------------ *)
-(* Parallel pipeline stages: each parallel path must reproduce its
-   sequential twin exactly (same list, same matrix).                    *)
-(* ------------------------------------------------------------------ *)
-
-let random_system ~n_polys ~n_vars ~terms seed =
-  let rng = Random.State.make [| seed |] in
-  List.init n_polys (fun _ ->
-      P.of_monomials
-        (List.init terms (fun _ ->
-             Anf.Monomial.of_vars
-               (List.init 2 (fun _ -> 1 + Random.State.int rng n_vars)))))
-
-let test_xl_expand_parallel_identical () =
-  let polys = random_system ~n_polys:60 ~n_vars:20 ~terms:5 11 in
-  let mults = B.Xl.multipliers ~vars:(List.init 20 (fun i -> i + 1)) ~degree:1 in
-  let seq = B.Xl.expand ~jobs:1 ~multipliers:mults polys in
-  List.iter
-    (fun jobs ->
-      let par = B.Xl.expand ~jobs ~multipliers:mults polys in
-      check_int (Printf.sprintf "jobs=%d same length" jobs) (List.length seq) (List.length par);
-      check (Printf.sprintf "jobs=%d identical list" jobs) true (List.for_all2 P.equal seq par))
-    [ 2; 3; 4 ]
-
-let prop_xl_expand_parallel_equals_sequential =
-  QCheck.Test.make ~name:"xl: parallel expand = sequential expand" ~count:60
-    QCheck.(pair (int_range 0 1000) (int_range 2 4))
-    (fun (seed, jobs) ->
-      let polys = random_system ~n_polys:12 ~n_vars:8 ~terms:3 seed in
-      let mults = B.Xl.multipliers ~vars:[ 1; 2; 3; 4 ] ~degree:1 in
-      let seq = B.Xl.expand ~jobs:1 ~multipliers:mults polys in
-      let par = B.Xl.expand ~jobs ~multipliers:mults polys in
-      List.length seq = List.length par && List.for_all2 P.equal seq par)
-
-let test_linearize_parallel_identical () =
-  let polys = random_system ~n_polys:40 ~n_vars:16 ~terms:6 23 in
-  let seq, seq_m = B.Linearize.build ~jobs:1 polys in
-  let par, par_m = B.Linearize.build ~jobs:3 polys in
-  check_int "same column count" (B.Linearize.n_columns seq) (B.Linearize.n_columns par);
-  check "same column order" true
-    (Array.for_all2 Anf.Monomial.equal (B.Linearize.columns seq) (B.Linearize.columns par));
-  Alcotest.(check string) "same matrix"
-    (Format.asprintf "%a" Gf2.Matrix.pp seq_m)
-    (Format.asprintf "%a" Gf2.Matrix.pp par_m)
-
-let test_xl_run_parallel_config () =
-  let polys = table1_system () in
-  let run jobs =
-    B.Xl.run
-      ~config:{ B.Config.default with B.Config.jobs }
-      ~rng:(Random.State.make [| 0 |]) polys
-  in
-  let seq = run 1 and par = run 3 in
-  check_int "same rank" seq.B.Xl.rank par.B.Xl.rank;
-  check "same facts" true
-    (List.length seq.B.Xl.facts = List.length par.B.Xl.facts
-    && List.for_all2 P.equal seq.B.Xl.facts par.B.Xl.facts)
-
-let test_elimlin_parallel_config () =
-  let polys = random_system ~n_polys:25 ~n_vars:12 ~terms:4 31 in
-  let seq = B.Elimlin.run_full ~jobs:1 polys and par = B.Elimlin.run_full ~jobs:3 polys in
-  check "same facts" true
-    (List.length seq.B.Elimlin.facts = List.length par.B.Elimlin.facts
-    && List.for_all2 P.equal seq.B.Elimlin.facts par.B.Elimlin.facts)
-
-let parallel_suite =
-  [
-    ( "bosphorus.parallel",
-      [
-        Alcotest.test_case "xl expand identical under jobs" `Quick
-          test_xl_expand_parallel_identical;
-        QCheck_alcotest.to_alcotest prop_xl_expand_parallel_equals_sequential;
-        Alcotest.test_case "linearize identical under jobs" `Quick
-          test_linearize_parallel_identical;
-        Alcotest.test_case "xl run with config.jobs" `Quick test_xl_run_parallel_config;
-        Alcotest.test_case "elimlin with jobs" `Quick test_elimlin_parallel_config;
-      ] );
-  ]
-
-let suite = main_suite @ groebner_suite @ infra_suite @ parallel_suite
+let suite = main_suite @ groebner_suite @ infra_suite

@@ -1,6 +1,6 @@
-(* Tests for the unified resource budgets (Harness.Budget), cooperative
-   pool cancellation (Runtime.Pool.Cancel), the fault-injection hook, and
-   the driver's graceful Degraded degradation. *)
+(* Tests for the unified resource budgets (Harness.Budget), cancellation
+   across pinned domains (Runtime.Pool.Cancel), the fault-injection hook,
+   and the driver's graceful Degraded degradation. *)
 
 module Budget = Harness.Budget
 module Pool = Runtime.Pool
@@ -177,17 +177,16 @@ let test_perf_counters () =
   check "add zero is identity" true (sum = c)
 
 (* ------------------------------------------------------------------ *)
-(* Pool cancellation                                                   *)
+(* Cancellation across pinned domains                                  *)
 (* ------------------------------------------------------------------ *)
 
 let test_cancel_before_start () =
   List.iter
-    (fun jobs ->
-      let pool = Pool.get ~jobs in
+    (fun n ->
       let tok = Pool.Cancel.create () in
       Pool.Cancel.set tok;
-      let results = Pool.run_results ~cancel:tok pool (List.init 8 (fun i () -> i)) in
-      check_int (Printf.sprintf "jobs=%d: every slot accounted" jobs) 8
+      let results = Pool.run_pinned ~cancel:tok (List.init n (fun i () -> i)) in
+      check_int (Printf.sprintf "%d tasks: every slot accounted" n) n
         (List.length results);
       List.iter
         (function
@@ -201,11 +200,10 @@ let test_cancel_mid_run_no_lost_futures () =
   (* the first task sets the token; the rest either never start
      (Cancelled) or observe the token cooperatively and finish.  Every
      future must be joined and every slot must resolve. *)
-  let pool = Pool.get ~jobs:4 in
   let tok = Pool.Cancel.create () in
   let results =
-    Pool.run_results ~cancel:tok pool
-      (List.init 16 (fun i () ->
+    Pool.run_pinned ~cancel:tok
+      (List.init 4 (fun i () ->
            if i = 0 then begin
              Pool.Cancel.set tok;
              -1
@@ -217,7 +215,7 @@ let test_cancel_mid_run_no_lost_futures () =
              i
            end))
   in
-  check_int "all 16 slots resolve" 16 (List.length results);
+  check_int "all 4 slots resolve" 4 (List.length results);
   check "first slot completed" true (List.hd results = Ok (-1));
   let ok, cancelled =
     List.fold_left
@@ -227,28 +225,18 @@ let test_cancel_mid_run_no_lost_futures () =
         | Error e -> raise e)
       (0, 0) results
   in
-  check_int "every slot is Ok or Cancelled" 16 (ok + cancelled)
-
-let test_run_propagates_cancelled () =
-  let pool = Pool.get ~jobs:2 in
-  let tok = Pool.Cancel.create () in
-  Pool.Cancel.set tok;
-  (match Pool.run ~cancel:tok pool [ (fun () -> 1) ] with
-  | _ -> Alcotest.fail "run must re-raise Cancelled"
-  | exception Pool.Cancelled -> ())
+  check_int "every slot is Ok or Cancelled" 4 (ok + cancelled)
 
 let test_budget_trip_cancels_pool_stress () =
-  (* 4-domain stress: one task trips a shared budget; siblings poll it
-     and stop; the caller harvests every slot without deadlocking *)
+  (* one pinned task trips a shared budget; its siblings on other domains
+     poll it and stop; the caller harvests every slot without
+     deadlocking *)
   for round = 0 to 9 do
     let b = Budget.create ~max_memory_monomials:10 () in
-    let pool = Pool.get ~jobs:4 in
     let results =
-      Pool.run_results
-        ~cancel:(Budget.cancel_token b)
-        pool
-        (List.init 12 (fun i () ->
-             if i = round mod 12 then begin
+      Pool.run_pinned
+        (List.init 4 (fun i () ->
+             if i = round mod 4 then begin
                Budget.set_cells b 11;
                Budget.check b ~layer:"stress";
                0
@@ -265,9 +253,9 @@ let test_budget_trip_cancels_pool_stress () =
                !n
              end))
     in
-    check_int "all 12 slots resolve" 12 (List.length results);
+    check_int "all 4 slots resolve" 4 (List.length results);
     check "budget tripped" true (Budget.tripped b <> None);
-    check "token observed" true (Budget.cancelled b);
+    check "trip observed" true (Budget.cancelled b);
     (* the tripping slot must be an Error (Tripped), not lost *)
     let errors =
       List.length
@@ -342,19 +330,18 @@ let paper_system () =
       "x2*x3 + x5 + 1";
     ]
 
-let fault_config ~jobs =
+let fault_config =
   {
     B.Config.default with
     B.Config.stop_on_solution = false;
     audit_trail = true;
-    jobs;
   }
 
-let run_fault_in_layer ~layer ~jobs =
+let run_fault_in_layer ~layer =
   with_fault_injection (fun () ->
       Budget.inject_trip_after ~layer 0;
       let input = paper_system () in
-      let outcome = B.Driver.run ~config:(fault_config ~jobs) input in
+      let outcome = B.Driver.run ~config:fault_config input in
       Budget.inject_clear ();
       check (layer ^ ": degraded") true (outcome.B.Driver.status = B.Driver.Degraded);
       (match outcome.B.Driver.budget_report with
@@ -368,14 +355,8 @@ let run_fault_in_layer ~layer ~jobs =
       check (layer ^ ": partial facts certified") true (Audit.Certify.all_certified r))
 
 let test_fault_each_layer () =
-  List.iter (fun layer -> run_fault_in_layer ~layer ~jobs:1)
+  List.iter (fun layer -> run_fault_in_layer ~layer)
     [ "driver"; "xl"; "elimlin"; "sat" ]
-
-let test_fault_stress_four_domains () =
-  (* same trips with a 4-domain pool active: no deadlock, no lost
-     futures, well-formed report *)
-  List.iter (fun layer -> run_fault_in_layer ~layer ~jobs:4)
-    [ "xl"; "elimlin" ]
 
 let test_fault_later_iteration () =
   (* arm the countdown so the trip lands mid-run rather than on the first
@@ -383,7 +364,7 @@ let test_fault_later_iteration () =
   with_fault_injection (fun () ->
       Budget.inject_trip_after ~layer:"sat" 1;
       let input = paper_system () in
-      let outcome = B.Driver.run ~config:(fault_config ~jobs:1) input in
+      let outcome = B.Driver.run ~config:fault_config input in
       Budget.inject_clear ();
       check "degraded" true (outcome.B.Driver.status = B.Driver.Degraded);
       let r = Audit.Certify.certify ~input outcome in
@@ -478,7 +459,6 @@ let suite =
         Alcotest.test_case "pre-set token skips tasks" `Quick test_cancel_before_start;
         Alcotest.test_case "mid-run cancel loses no futures" `Quick
           test_cancel_mid_run_no_lost_futures;
-        Alcotest.test_case "run re-raises Cancelled" `Quick test_run_propagates_cancelled;
         Alcotest.test_case "budget trip cancels pool (stress)" `Quick
           test_budget_trip_cancels_pool_stress;
       ] );
@@ -489,7 +469,6 @@ let suite =
         Alcotest.test_case "layer filter" `Quick test_injection_layer_filter;
         Alcotest.test_case "inject_clear disarms" `Quick test_injection_clear;
         Alcotest.test_case "driver: trip each layer" `Quick test_fault_each_layer;
-        Alcotest.test_case "driver: 4-domain stress" `Quick test_fault_stress_four_domains;
         Alcotest.test_case "driver: mid-run fault keeps earlier facts" `Quick
           test_fault_later_iteration;
       ] );

@@ -2,7 +2,8 @@
 
    Seeded random ANF systems (up to 14 variables, degree <= 3) are run
    through the full learning loop in every mode combination —
-   incremental/fresh SAT x jobs 1/4 x budgeted/unbudgeted — and every
+   incremental/fresh SAT x budgeted/unbudgeted, plus portfolio races of
+   2 and 3 seats — and every
    learnt fact is checked to vanish in every brute-force model of the
    input.  Budgeted runs frequently degrade; their partial fact sets must
    be exactly as sound.
@@ -101,7 +102,6 @@ type mode = {
   incremental : bool;
   jobs : int;
   budgeted : bool;
-  portfolio : int;
 }
 
 let config_of mode =
@@ -113,7 +113,6 @@ let config_of mode =
       sat_budget_start = 500;
       incremental_sat = mode.incremental;
       jobs = mode.jobs;
-      portfolio = mode.portfolio;
     }
   in
   if mode.budgeted then
@@ -130,42 +129,25 @@ let config_of mode =
 let modes =
   List.concat_map
     (fun incremental ->
-      List.concat_map
-        (fun jobs ->
-          List.map
-            (fun budgeted ->
-              {
-                mode_name =
-                  Printf.sprintf "%s/jobs%d/%s"
-                    (if incremental then "incremental" else "fresh")
-                    jobs
-                    (if budgeted then "budgeted" else "unbudgeted");
-                incremental;
-                jobs;
-                budgeted;
-                portfolio = 1;
-              })
-            [ false; true ])
-        [ 1; 4 ])
+      List.map
+        (fun budgeted ->
+          {
+            mode_name =
+              Printf.sprintf "%s/jobs1/%s"
+                (if incremental then "incremental" else "fresh")
+                (if budgeted then "budgeted" else "unbudgeted");
+            incremental;
+            jobs = 1;
+            budgeted;
+          })
+        [ false; true ])
     [ true; false ]
-  (* the portfolio races diversified solver clones per SAT round; its
-     facts (winner's plus the clause exchange) must be exactly as sound
-     as the single-solver modes' *)
+  (* with jobs > 1 the SAT stage races diversified solver clones per
+     round; its facts (winner's plus the clause exchange) must be exactly
+     as sound as the single-solver modes' *)
   @ [
-      {
-        mode_name = "incremental/portfolio2";
-        incremental = true;
-        jobs = 1;
-        budgeted = false;
-        portfolio = 2;
-      };
-      {
-        mode_name = "fresh/portfolio3";
-        incremental = false;
-        jobs = 1;
-        budgeted = false;
-        portfolio = 3;
-      };
+      { mode_name = "incremental/portfolio2"; incremental = true; jobs = 2; budgeted = false };
+      { mode_name = "fresh/portfolio3"; incremental = false; jobs = 3; budgeted = false };
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -226,12 +208,13 @@ let check_system ~mode i =
         check (ctx "unbudgeted run carries no report") false mode.budgeted
   end
 
-(* The reference mode sweeps every system; the other seven each sweep a
-   strided quarter, so all modes see small and large systems alike. *)
+(* The unbudgeted incremental modes (the reference and the 2-seat race)
+   sweep every system; the other four each sweep a strided quarter, so
+   all modes see small and large systems alike. *)
 let run_mode mode () =
-  let reference = mode.incremental && mode.jobs = 1 && not mode.budgeted in
+  let reference = mode.incremental && not mode.budgeted in
   let step = if reference then 1 else 4 in
-  let offset = if reference then 0 else (mode.jobs + if mode.budgeted then 1 else 0) mod 4 in
+  let offset = if reference then 0 else if mode.budgeted then 2 else 1 in
   let n = ref 0 in
   let i = ref offset in
   while !i < n_systems do
@@ -254,23 +237,21 @@ let run_mode mode () =
    check that the service layer (scheduling, budgets, sessions, cache)
    adds no observable behaviour of its own. *)
 
-let service_config ~jobs =
+let service_config =
   {
     B.Config.default with
     B.Config.stop_on_solution = false;
     max_iterations = 4;
     sat_budget_start = 500;
     incremental_sat = true;
-    jobs;
-    portfolio = 1;
   }
 
 let strip_summary s =
   { s with Service.Protocol.wall_s = 0.0; cache_hit = false }
 
-let run_service_mode ~jobs ~offset () =
-  let config = service_config ~jobs in
-  let socket_path = Printf.sprintf "tdiff-jobs%d.sock" jobs in
+let run_service_mode () =
+  let config = service_config in
+  let socket_path = "tdiff-jobs1.sock" in
   let cfg =
     { (Service.Daemon.default_config ~socket_path) with Service.Daemon.base_config = config }
   in
@@ -289,7 +270,7 @@ let run_service_mode ~jobs ~offset () =
     | Error m -> Alcotest.failf "daemon transport error: %s" m
   in
   let n = ref 0 in
-  let i = ref offset in
+  let i = ref 1 in
   while !i < n_systems do
     let input, _ = system_of_index !i in
     if input <> [] then begin
@@ -303,22 +284,20 @@ let run_service_mode ~jobs ~offset () =
           (B.Driver.run ~config reference)
       in
       let cold = submit ~tenant:(Printf.sprintf "diff-%d" !i) text in
-      check (Printf.sprintf "jobs%d: system %d: cold run not a hit" jobs !i)
+      check (Printf.sprintf "system %d: cold run not a hit" !i)
         false cold.Service.Protocol.cache_hit;
       if strip_summary cold <> expected then
-        Alcotest.failf "jobs%d: system %d: daemon (cold) diverges from one-shot driver"
-          jobs !i;
+        Alcotest.failf "system %d: daemon (cold) diverges from one-shot driver" !i;
       let warm = submit ~tenant:(Printf.sprintf "diff-%d-warm" !i) text in
-      check (Printf.sprintf "jobs%d: system %d: warm run hits" jobs !i) true
+      check (Printf.sprintf "system %d: warm run hits" !i) true
         warm.Service.Protocol.cache_hit;
       if strip_summary warm <> expected then
-        Alcotest.failf "jobs%d: system %d: cache hit diverges from one-shot driver"
-          jobs !i;
+        Alcotest.failf "system %d: cache hit diverges from one-shot driver" !i;
       incr n
     end;
     i := !i + 8
   done;
-  check (Printf.sprintf "service/jobs%d: swept a real batch" jobs) true (!n >= 25)
+  check "service/jobs1: swept a real batch" true (!n >= 25)
 
 let suite =
   [
@@ -327,7 +306,6 @@ let suite =
         (fun mode -> Alcotest.test_case mode.mode_name `Quick (run_mode mode))
         modes
       @ [
-          Alcotest.test_case "service/jobs1" `Quick (run_service_mode ~jobs:1 ~offset:1);
-          Alcotest.test_case "service/jobs4" `Quick (run_service_mode ~jobs:4 ~offset:5);
+          Alcotest.test_case "service/jobs1" `Quick run_service_mode;
         ] );
   ]

@@ -305,38 +305,6 @@ let prop_m4rm_equals_rref =
       r1 = r2
       && Format.asprintf "%a" Gf2.Matrix.pp plain = Format.asprintf "%a" Gf2.Matrix.pp four)
 
-(* The parallel panel update must be bit-identical for every jobs count:
-   pivot selection stays sequential and row updates are disjoint. *)
-let prop_m4rm_parallel_equals_sequential =
-  QCheck.Test.make ~name:"four russians RREF: jobs=k = jobs=1 = plain RREF" ~count:200
-    QCheck.(triple (make matrix_gen) (int_range 1 8) (int_range 2 4))
-    (fun (m, k, jobs) ->
-      let plain = Gf2.Matrix.copy m
-      and seq = Gf2.Matrix.copy m
-      and par = Gf2.Matrix.copy m in
-      let r0 = Gf2.Matrix.rref plain in
-      let r1 = Gf2.Matrix.rref_m4rm ~k ~jobs:1 seq in
-      let r2 = Gf2.Matrix.rref_m4rm ~k ~jobs par in
-      let show = Format.asprintf "%a" Gf2.Matrix.pp in
-      r0 = r1 && r1 = r2 && show plain = show seq && show seq = show par)
-
-let test_m4rm_parallel_large () =
-  let n = 200 in
-  let rng = Random.State.make [| 77 |] in
-  let m = Gf2.Matrix.create ~rows:n ~cols:n in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      if Random.State.bool rng then Gf2.Matrix.set m i j true
-    done
-  done;
-  let seq = Gf2.Matrix.copy m and par = Gf2.Matrix.copy m in
-  let r1 = Gf2.Matrix.rref_m4rm ~jobs:1 seq in
-  let r2 = Gf2.Matrix.rref_m4rm ~jobs:4 par in
-  check_int "same rank" r1 r2;
-  Alcotest.(check string) "bit-identical RREF"
-    (Format.asprintf "%a" Gf2.Matrix.pp seq)
-    (Format.asprintf "%a" Gf2.Matrix.pp par)
-
 (* ------------------------------------------------------------------ *)
 (* Bigarray word store: model-based checks across word boundaries      *)
 (* ------------------------------------------------------------------ *)
@@ -435,9 +403,9 @@ let test_bitvec_xor_into_range () =
       done)
     boundary_lengths
 
-(* cache-blocked parallel M4RM on a non-word-aligned shape: bit-identical
-   to jobs=1 and to plain Gauss-Jordan *)
-let test_m4rm_nonaligned_parallel () =
+(* cache-blocked M4RM on a non-word-aligned shape: identical to plain
+   Gauss-Jordan *)
+let test_m4rm_nonaligned () =
   let rng = Random.State.make [| 79 |] in
   let rows = 90 and cols = 130 in
   let m = Gf2.Matrix.create ~rows ~cols in
@@ -449,23 +417,10 @@ let test_m4rm_nonaligned_parallel () =
   let g = Gf2.Matrix.copy m in
   let rank_g = Gf2.Matrix.rref g in
   let m1 = Gf2.Matrix.copy m in
-  let rank1 = Gf2.Matrix.rref_m4rm ~jobs:1 m1 in
-  let m3 = Gf2.Matrix.copy m in
-  let rank3 = Gf2.Matrix.rref_m4rm ~jobs:3 m3 in
-  check_int "m4rm jobs=1 rank = rref rank" rank_g rank1;
-  check_int "m4rm jobs=3 rank" rank_g rank3;
+  let rank1 = Gf2.Matrix.rref_m4rm m1 in
+  check_int "m4rm rank = rref rank" rank_g rank1;
   let render m = Format.asprintf "%a" Gf2.Matrix.pp m in
-  Alcotest.(check string) "jobs=1 = rref" (render g) (render m1);
-  Alcotest.(check string) "jobs=3 = jobs=1" (render m1) (render m3)
-
-let test_m4rm_parallel_worthwhile_gate () =
-  (* jobs=1 never dispatches; huge shapes at jobs>1 eventually do — on a
-     host that can actually run domains in parallel *)
-  check "jobs=1 is never worthwhile" false
-    (Gf2.Matrix.m4rm_parallel_worthwhile ~rows:4096 ~cols:4096 ~jobs:1 ());
-  check "huge shape at jobs=4 dispatches iff the host can parallelize"
-    (Domain.recommended_domain_count () > 1)
-    (Gf2.Matrix.m4rm_parallel_worthwhile ~rows:1_000_000 ~cols:65_536 ~jobs:4 ())
+  Alcotest.(check string) "m4rm = rref" (render g) (render m1)
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -477,7 +432,6 @@ let qcheck_cases =
       prop_rank_bounded;
       prop_rref_preserves_row_space;
       prop_m4rm_equals_rref;
-      prop_m4rm_parallel_equals_sequential;
     ]
 
 let suite =
@@ -510,10 +464,7 @@ let suite =
         Alcotest.test_case "is_rref" `Quick test_matrix_is_rref;
         Alcotest.test_case "in_row_space" `Quick test_matrix_in_row_space;
         Alcotest.test_case "four russians RREF" `Quick test_m4rm_matches_rref;
-        Alcotest.test_case "parallel M4RM on 200x200" `Quick test_m4rm_parallel_large;
-        Alcotest.test_case "non-aligned parallel M4RM" `Quick
-          test_m4rm_nonaligned_parallel;
-        Alcotest.test_case "granularity gate" `Quick test_m4rm_parallel_worthwhile_gate;
+        Alcotest.test_case "non-aligned M4RM = rref" `Quick test_m4rm_nonaligned;
       ] );
     ("gf2.properties", qcheck_cases);
   ]

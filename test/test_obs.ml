@@ -291,21 +291,19 @@ let test_trace_export_parses_matched () =
   (* spans from the main domain, instants, and pool-worker spans *)
   Trace.with_span ~name:"root" (fun () ->
       Trace.instant "mark" ~args:[ ("detail", "x") ];
-      (* a barrier across exactly [jobs] tasks: each spins until all four
-         have started, which forces them onto four distinct domains (the
-         caller helps, so without this the caller could run every task
-         itself and the multi-track assertion would be racy) *)
+      (* four pinned tasks on four distinct domains (the caller runs the
+         first); the barrier keeps every span open until all have
+         started *)
       let started = Atomic.make 0 in
-      Pool.with_pool ~jobs:4 (fun pool ->
-          ignore
-            (Pool.run pool
-               (List.init 4 (fun i () ->
-                    Trace.with_span ~name:"worker-span" (fun () ->
-                        Atomic.incr started;
-                        while Atomic.get started < 4 do
-                          Domain.cpu_relax ()
-                        done;
-                        i * i))))));
+      ignore
+        (Pool.run_pinned
+           (List.init 4 (fun i () ->
+                Trace.with_span ~name:"worker-span" (fun () ->
+                    Atomic.incr started;
+                    while Atomic.get started < 4 do
+                      Domain.cpu_relax ()
+                    done;
+                    i * i)))));
   (* per-domain streams individually stack-matched *)
   let by_tid = Hashtbl.create 8 in
   List.iter
@@ -406,13 +404,12 @@ let test_metrics_counter_atomicity () =
   Metrics.set_enabled true;
   let c = Metrics.counter "test.parallel_counter" in
   let bump () =
-    Pool.with_pool ~jobs:4 (fun pool ->
-        ignore
-          (Pool.run pool
-             (List.init 8 (fun _ () ->
-                  for _ = 1 to 10_000 do
-                    Metrics.incr c
-                  done))))
+    ignore
+      (Pool.run_pinned
+         (List.init 4 (fun _ () ->
+              for _ = 1 to 20_000 do
+                Metrics.incr c
+              done)))
   in
   bump ();
   check_int "no lost updates under 4 domains" 80_000 (Metrics.counter_value c);

@@ -1,128 +1,9 @@
-(* Domain-pool runtime: chunking arithmetic, deterministic join order,
-   exception propagation, nested submission, and the sequential
-   fallback. *)
+(* Pinned-domain runtime: submission-order joins, per-slot errors, and
+   cancellation tokens. *)
 
 module Pool = Runtime.Pool
 
-let check_int = Alcotest.(check int)
-let check_ints = Alcotest.(check (list int))
-
-(* ------------------------------------------------------------------ *)
-(* chunk_ranges                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_chunk_ranges_cover () =
-  (* every (chunks, lo, hi) must produce contiguous, ordered, disjoint
-     ranges covering [lo, hi) exactly *)
-  for chunks = 1 to 7 do
-    for lo = 0 to 3 do
-      for n = 0 to 20 do
-        let hi = lo + n in
-        let ranges = Pool.chunk_ranges ~chunks ~lo ~hi in
-        let covered = List.concat_map (fun (a, b) -> List.init (b - a) (fun i -> a + i)) ranges in
-        check_ints
-          (Printf.sprintf "cover chunks=%d lo=%d hi=%d" chunks lo hi)
-          (List.init n (fun i -> lo + i))
-          covered;
-        List.iter (fun (a, b) -> Alcotest.(check bool) "nonempty" true (a < b)) ranges;
-        Alcotest.(check bool) "at most chunks pieces" true (List.length ranges <= chunks)
-      done
-    done
-  done
-
-let test_chunk_ranges_balanced () =
-  let ranges = Pool.chunk_ranges ~chunks:4 ~lo:0 ~hi:10 in
-  let sizes = List.map (fun (a, b) -> b - a) ranges in
-  check_ints "10 over 4 splits 3,3,2,2" [ 3; 3; 2; 2 ] sizes
-
-let test_chunk_list () =
-  let chunks = Pool.chunk_list ~chunks:3 [ 1; 2; 3; 4; 5; 6; 7 ] in
-  Alcotest.(check (list (list int))) "7 over 3 keeps order" [ [ 1; 2; 3 ]; [ 4; 5 ]; [ 6; 7 ] ] chunks;
-  Alcotest.(check (list (list int))) "empty list" [] (Pool.chunk_list ~chunks:3 [])
-
-(* ------------------------------------------------------------------ *)
-(* run / map: order and equivalence with sequential                     *)
-(* ------------------------------------------------------------------ *)
-
-let test_run_preserves_order () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let thunks = List.init 50 (fun i () -> i * i) in
-      check_ints "results in submission order" (List.init 50 (fun i -> i * i))
-        (Pool.run pool thunks))
-
-let test_map_list_matches_sequential () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      let xs = List.init 101 (fun i -> i - 50) in
-      let f x = (x * 7) + 3 in
-      check_ints "map_list = List.map" (List.map f xs) (Pool.map_list pool f xs))
-
-let test_map_array_matches_sequential () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      let xs = Array.init 64 (fun i -> i) in
-      let f x = x * x in
-      Alcotest.(check (array int)) "map_array = Array.map" (Array.map f xs)
-        (Pool.map_array pool f xs))
-
-let test_sequential_fallback () =
-  (* jobs=1 must not spawn domains; everything runs in the caller *)
-  Pool.with_pool ~jobs:1 (fun pool ->
-      check_int "jobs" 1 (Pool.jobs pool);
-      let self = Domain.self () in
-      let domains = Pool.run pool (List.init 8 (fun _ () -> Domain.self ())) in
-      List.iter (fun d -> Alcotest.(check bool) "ran in caller" true (d = self)) domains)
-
-let test_parallel_for_covers_range () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let hits = Array.make 100 0 in
-      Pool.parallel_for pool ~lo:0 ~hi:100 (fun lo hi ->
-          for i = lo to hi - 1 do
-            hits.(i) <- hits.(i) + 1
-          done);
-      Array.iteri (fun i h -> check_int (Printf.sprintf "index %d hit once" i) 1 h) hits;
-      (* empty range is a no-op *)
-      Pool.parallel_for pool ~lo:5 ~hi:5 (fun _ _ -> failwith "must not run"))
-
-(* ------------------------------------------------------------------ *)
-(* exceptions and reuse                                                 *)
-(* ------------------------------------------------------------------ *)
-
 exception Boom of int
-
-let test_exception_propagates () =
-  Pool.with_pool ~jobs:2 (fun pool ->
-      (match Pool.run pool [ (fun () -> 1); (fun () -> raise (Boom 7)); (fun () -> 3) ] with
-      | _ -> Alcotest.fail "expected Boom"
-      | exception Boom 7 -> ()
-      | exception e -> Alcotest.fail ("wrong exception: " ^ Printexc.to_string e));
-      (* the pool stays usable after a failed batch *)
-      check_ints "pool usable after failure" [ 10; 20 ]
-        (Pool.run pool [ (fun () -> 10); (fun () -> 20) ]))
-
-let test_nested_run () =
-  (* tasks may submit sub-batches to the same pool without deadlock:
-     the awaiting caller helps drain the queue *)
-  Pool.with_pool ~jobs:2 (fun pool ->
-      let outer =
-        Pool.run pool
-          (List.init 4 (fun i () ->
-               let inner = Pool.run pool (List.init 3 (fun j () -> (10 * i) + j)) in
-               List.fold_left ( + ) 0 inner))
-      in
-      check_ints "nested totals" [ 3; 33; 63; 93 ] outer)
-
-let test_shared_pool () =
-  let p1 = Pool.get ~jobs:2 in
-  let p2 = Pool.get ~jobs:2 in
-  check_int "shared pool reports jobs" 2 (Pool.jobs p1);
-  check_ints "both handles work" [ 1; 2 ] (Pool.run p1 [ (fun () -> 1); (fun () -> 2) ]);
-  check_ints "second handle too" [ 3; 4 ] (Pool.run p2 [ (fun () -> 3); (fun () -> 4) ])
-
-let test_default_jobs_positive () =
-  Alcotest.(check bool) "default_jobs >= 1" true (Pool.default_jobs () >= 1)
-
-(* ------------------------------------------------------------------ *)
-(* Grain: measured granularity auto-tuning                              *)
-(* ------------------------------------------------------------------ *)
 
 (* ------------------------------------------------------------------ *)
 (* run_pinned: dedicated domains for long tasks                         *)
@@ -147,50 +28,6 @@ let test_run_pinned_order_and_errors () =
   | [ Ok 7; Ok 8 ] -> ()
   | _ -> Alcotest.fail "pinned set reusable after a failed batch"
 
-let test_run_pinned_beside_queue () =
-  (* pinned tasks run beside the work queue, not in it: while two pinned
-     tasks occupy their dedicated domains (spinning on [release]), a
-     batch on the shared pool must still complete — if the pinned tasks
-     had been queued instead, they could hold the queue's workers and
-     the release below would never be reached *)
-  let release = Atomic.make false in
-  let results =
-    Pool.run_pinned
-      [
-        (fun () ->
-          (* runs on the caller, per the run_pinned contract *)
-          let pool = Pool.get ~jobs:2 in
-          let batch = Pool.run pool (List.init 8 (fun i () -> i)) in
-          Atomic.set release true;
-          List.fold_left ( + ) 0 batch);
-        (fun () ->
-          while not (Atomic.get release) do
-            Domain.cpu_relax ()
-          done;
-          1);
-        (fun () ->
-          while not (Atomic.get release) do
-            Domain.cpu_relax ()
-          done;
-          2);
-      ]
-  in
-  match results with
-  | [ Ok 28; Ok 1; Ok 2 ] -> ()
-  | _ -> Alcotest.fail "shared queue starved by pinned tasks"
-
-let test_run_pinned_with_inner_queue_work () =
-  (* a pinned task may itself dispatch on the shared pool *)
-  let results =
-    Pool.run_pinned
-      (List.init 3 (fun i () ->
-           let pool = Pool.get ~jobs:2 in
-           List.fold_left ( + ) 0 (Pool.run pool (List.init 4 (fun j () -> (10 * i) + j)))))
-  in
-  match results with
-  | [ Ok 6; Ok 46; Ok 86 ] -> ()
-  | _ -> Alcotest.fail "pinned tasks dispatching inner queue batches"
-
 let test_run_pinned_cancel_skips () =
   let c = Pool.Cancel.create () in
   Pool.Cancel.set c;
@@ -202,96 +39,13 @@ let test_run_pinned_cancel_skips () =
       | Error e -> Alcotest.fail ("wrong exception: " ^ Printexc.to_string e))
     results
 
-let test_worth_parallel_jobs_no_pool () =
-  let g = Pool.Grain.gauge ~name:"test.worth_jobs" ~default_op_ns:1000.0 in
-  Alcotest.(check bool) "jobs=1 never parallel" false
-    (Pool.Grain.worth_parallel_jobs ~jobs:1 g ~ops:1_000_000_000);
-  Alcotest.(check bool) "zero work stays inline" false
-    (Pool.Grain.worth_parallel_jobs ~jobs:4 g ~ops:0);
-  let host_parallel = Domain.recommended_domain_count () > 1 in
-  Alcotest.(check bool) "huge work dispatches iff the host can"
-    host_parallel
-    (Pool.Grain.worth_parallel_jobs ~jobs:4 g ~ops:1_000_000_000);
-  (* the probe decision agrees with the pool-in-hand decision *)
-  let par = Pool.get ~jobs:2 in
-  List.iter
-    (fun ops ->
-      Alcotest.(check bool)
-        (Printf.sprintf "agrees with worth_parallel at ops=%d" ops)
-        (Pool.Grain.worth_parallel par g ~ops)
-        (Pool.Grain.worth_parallel_jobs ~jobs:2 g ~ops))
-    [ 0; 1; 1_000; 1_000_000_000 ]
-
-let test_grain_observe_ema () =
-  let g = Pool.Grain.gauge ~name:"test.ema" ~default_op_ns:100.0 in
-  Alcotest.(check (float 1e-9)) "seeded" 100.0 (Pool.Grain.op_ns g);
-  (* an observation at the seeded rate leaves the estimate unchanged;
-     1000 ops in 100 microseconds = 100 ns/op *)
-  Pool.Grain.observe g ~ops:1000 ~wall_s:1e-4;
-  Alcotest.(check (float 1e-6)) "same-rate observation" 100.0 (Pool.Grain.op_ns g);
-  (* a 300 ns/op observation moves the EMA to the midpoint *)
-  Pool.Grain.observe g ~ops:1000 ~wall_s:3e-4;
-  Alcotest.(check (float 1e-6)) "EMA midpoint" 200.0 (Pool.Grain.op_ns g);
-  (* zero ops / zero wall are ignored, not divide-by-zero *)
-  Pool.Grain.observe g ~ops:0 ~wall_s:1.0;
-  Pool.Grain.observe g ~ops:100 ~wall_s:0.0;
-  Alcotest.(check (float 1e-6)) "degenerate observations ignored" 200.0
-    (Pool.Grain.op_ns g)
-
-let test_grain_worth_parallel () =
-  let g = Pool.Grain.gauge ~name:"test.worth" ~default_op_ns:1000.0 in
-  (* a sequential pool has nothing to win *)
-  let seq = Pool.get ~jobs:1 in
-  Alcotest.(check bool) "jobs=1 never parallel" false
-    (Pool.Grain.worth_parallel seq g ~ops:1_000_000_000);
-  let par = Pool.get ~jobs:2 in
-  Alcotest.(check bool) "zero work stays inline" false
-    (Pool.Grain.worth_parallel par g ~ops:0);
-  (* a second of estimated sequential work dwarfs any dispatch cost —
-     but an oversubscribed pool on a 1-core host still stays inline *)
-  let host_parallel = Domain.recommended_domain_count () > 1 in
-  Alcotest.(check bool) "huge work dispatches iff the host can parallelize"
-    host_parallel
-    (Pool.Grain.worth_parallel par g ~ops:1_000_000_000);
-  Alcotest.(check int) "choose agrees for huge work"
-    (if host_parallel then 2 else 1)
-    (Pool.jobs (Pool.Grain.choose par g ~ops:1_000_000_000));
-  Alcotest.(check int) "choose falls back for no work" 1
-    (Pool.jobs (Pool.Grain.choose par g ~ops:0))
-
 let suite =
   [
-    ( "runtime.pool",
-      [
-        Alcotest.test_case "chunk_ranges covers exactly" `Quick test_chunk_ranges_cover;
-        Alcotest.test_case "chunk_ranges balanced" `Quick test_chunk_ranges_balanced;
-        Alcotest.test_case "chunk_list" `Quick test_chunk_list;
-        Alcotest.test_case "run preserves order" `Quick test_run_preserves_order;
-        Alcotest.test_case "map_list = List.map" `Quick test_map_list_matches_sequential;
-        Alcotest.test_case "map_array = Array.map" `Quick test_map_array_matches_sequential;
-        Alcotest.test_case "jobs=1 runs in caller" `Quick test_sequential_fallback;
-        Alcotest.test_case "parallel_for covers range" `Quick test_parallel_for_covers_range;
-        Alcotest.test_case "exception propagates, pool survives" `Quick test_exception_propagates;
-        Alcotest.test_case "nested run does not deadlock" `Quick test_nested_run;
-        Alcotest.test_case "shared pool handles" `Quick test_shared_pool;
-        Alcotest.test_case "default_jobs positive" `Quick test_default_jobs_positive;
-      ] );
     ( "runtime.pinned",
       [
         Alcotest.test_case "order and per-slot errors" `Quick
           test_run_pinned_order_and_errors;
-        Alcotest.test_case "runs beside the work queue" `Quick
-          test_run_pinned_beside_queue;
-        Alcotest.test_case "inner queue dispatch" `Quick
-          test_run_pinned_with_inner_queue_work;
         Alcotest.test_case "pre-set token skips slots" `Quick
           test_run_pinned_cancel_skips;
-      ] );
-    ( "runtime.grain",
-      [
-        Alcotest.test_case "observe feeds the EMA" `Quick test_grain_observe_ema;
-        Alcotest.test_case "worth_parallel thresholds" `Quick test_grain_worth_parallel;
-        Alcotest.test_case "worth_parallel_jobs probes without a pool" `Quick
-          test_worth_parallel_jobs_no_pool;
       ] );
   ]

@@ -738,7 +738,7 @@ let proof_suite =
 (* ------------------------------------------------------------------ *)
 (* Domain safety: solver instances share no mutable module state, so     *)
 (* distinct instances may run on distinct domains concurrently (the      *)
-(* bench driver's --jobs batching relies on this).                       *)
+(* bench driver's table2 --jobs batching relies on this).                *)
 (* ------------------------------------------------------------------ *)
 
 let test_concurrent_solver_instances () =
@@ -761,14 +761,17 @@ let test_concurrent_solver_instances () =
     | Sat.Types.Unsat -> `Unsat
     | Sat.Types.Undecided -> `Undecided
   in
-  let sequential = List.map solve formulas in
-  Runtime.Pool.with_pool ~jobs:4 (fun pool ->
-      (* several rounds so every worker domain touches several instances *)
-      for round = 1 to 3 do
-        let parallel = Runtime.Pool.map_list pool solve formulas in
-        check (Printf.sprintf "round %d matches sequential" round) true
-          (List.for_all2 ( = ) sequential parallel)
-      done)
+  (* seat i of 4 solves formulas i, i+4, ... *)
+  let share i = List.filteri (fun j _ -> j mod 4 = i) formulas in
+  let sequential = List.init 4 (fun i -> Ok (List.map solve (share i))) in
+  (* several rounds so every domain touches several instances *)
+  for round = 1 to 3 do
+    let parallel =
+      Runtime.Pool.run_pinned (List.init 4 (fun i () -> List.map solve (share i)))
+    in
+    check (Printf.sprintf "round %d matches sequential" round) true
+      (sequential = parallel)
+  done
 
 let concurrency_suite =
   [
