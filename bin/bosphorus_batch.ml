@@ -13,7 +13,6 @@ type row = {
   wall_s : float;  (* client-observed round-trip *)
   solver_wall_s : float;
   cache_hit : bool;
-  reused_clauses : int;
   trip : string option;
   detail : string;  (* error message when status = "error" *)
 }
@@ -72,6 +71,18 @@ let client_thread ~socket ~client_name ~limits ~queue ~queue_m ~rows ~rows_m () 
             ~format:(format_of_file file) ~limits text
         in
         let wall_s = Unix.gettimeofday () -. started in
+        let error_row detail =
+          {
+            file;
+            client = client_name;
+            status = "error";
+            wall_s;
+            solver_wall_s = 0.0;
+            cache_hit = false;
+            trip = None;
+            detail;
+          }
+        in
         let row =
           match reply with
           | Ok (Service.Protocol.Result (_, s)) ->
@@ -82,7 +93,6 @@ let client_thread ~socket ~client_name ~limits ~queue ~queue_m ~rows ~rows_m () 
                 wall_s;
                 solver_wall_s = s.Service.Protocol.wall_s;
                 cache_hit = s.Service.Protocol.cache_hit;
-                reused_clauses = s.Service.Protocol.session_reused_clauses;
                 trip =
                   Option.map
                     (fun t -> t.Service.Protocol.trip_kind)
@@ -90,41 +100,9 @@ let client_thread ~socket ~client_name ~limits ~queue ~queue_m ~rows ~rows_m () 
                 detail = "";
               }
           | Ok (Service.Protocol.Error_reply { code; message }) ->
-              {
-                file;
-                client = client_name;
-                status = "error";
-                wall_s;
-                solver_wall_s = 0.0;
-                cache_hit = false;
-                reused_clauses = 0;
-                trip = None;
-                detail = code ^ ": " ^ message;
-              }
-          | Ok _ ->
-              {
-                file;
-                client = client_name;
-                status = "error";
-                wall_s;
-                solver_wall_s = 0.0;
-                cache_hit = false;
-                reused_clauses = 0;
-                trip = None;
-                detail = "unexpected reply";
-              }
-          | Error m ->
-              {
-                file;
-                client = client_name;
-                status = "error";
-                wall_s;
-                solver_wall_s = 0.0;
-                cache_hit = false;
-                reused_clauses = 0;
-                trip = None;
-                detail = m;
-              }
+              error_row (code ^ ": " ^ message)
+          | Ok _ -> error_row "unexpected reply"
+          | Error m -> error_row m
         in
         Mutex.lock rows_m;
         rows := row :: !rows;
@@ -142,12 +120,11 @@ let write_csv path rows =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
   output_string oc
-    "file,client,status,wall_s,solver_wall_s,cache_hit,session_reused_clauses,trip,detail\n";
+    "file,client,status,wall_s,solver_wall_s,cache_hit,trip,detail\n";
   List.iter
     (fun r ->
-      Printf.fprintf oc "%s,%s,%s,%.6f,%.6f,%b,%d,%s,%s\n" (csv_escape r.file)
+      Printf.fprintf oc "%s,%s,%s,%.6f,%.6f,%b,%s,%s\n" (csv_escape r.file)
         (csv_escape r.client) r.status r.wall_s r.solver_wall_s r.cache_hit
-        r.reused_clauses
         (Option.value ~default:"" r.trip)
         (csv_escape r.detail))
     rows
@@ -184,7 +161,6 @@ let json_doc ~dir ~concurrency ~repeat ~wall_s ~daemon_stats rows =
                    ("wall_s", V.Float r.wall_s);
                    ("solver_wall_s", V.Float r.solver_wall_s);
                    ("cache_hit", V.Bool r.cache_hit);
-                   ("session_reused_clauses", V.Int r.reused_clauses);
                    ( "trip",
                      match r.trip with
                      | None -> V.Null

@@ -29,8 +29,8 @@ let all_certified r = r.n_facts = r.n_certified
 
 (* Replay a stage's derivation log, keeping the steps that check out; a
    fact's clause encoding is then tested for RUP against the stage CNF plus
-   the verified prefix.  Root units, learnt binaries and probe results all
-   arise from unit propagation over (formula + learnt clauses), so they are
+   the verified prefix.  Root units and learnt binaries both arise from
+   unit propagation over (formula + learnt clauses), so they are
    RUP-derivable here. *)
 let replay_proof formula_clauses proof =
   let verified = ref [] in

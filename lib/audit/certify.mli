@@ -13,8 +13,8 @@
       the same substitutions the driver applied — so later facts stay
       derivable at low degree.
 
-    - {b RUP}: SAT-solver facts (root units, learnt binaries, probe
-      results) are checked against the CNF the solver actually saw: the
+    - {b RUP}: SAT-solver facts (root units and learnt binaries) are
+      checked against the CNF the solver actually saw: the
       stage's DRUP log (recorded by {!Bosphorus.Audit_trail} under
       [Config.audit_trail]) is replayed step by step with
       {!Sat.Proof.is_rup}, and the fact's clause encoding must itself be

@@ -12,9 +12,7 @@ type t = {
   sat_budget_step : int;
   max_iterations : int;
   stop_on_solution : bool;
-  facts_from_monomial_aux : bool;
   stage_time_s : float;
-  sat_probe_vars : int;
   seed : int;
   audit_trail : bool;
   jobs : int;
@@ -39,9 +37,7 @@ let paper =
     sat_budget_step = 10_000;
     max_iterations = 100;
     stop_on_solution = true;
-    facts_from_monomial_aux = false;
     stage_time_s = 200.0;
-    sat_probe_vars = 0;
     seed = 0;
     audit_trail = false;
     jobs = 1;

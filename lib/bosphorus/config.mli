@@ -28,19 +28,11 @@ type t = {
   max_iterations : int;  (** safety bound on the learning loop *)
   stop_on_solution : bool;
       (** exit the loop when the SAT solver finds a satisfying assignment *)
-  facts_from_monomial_aux : bool;
-      (** extension beyond the paper: also harvest unit facts on monomial
-          auxiliary variables (sound; off by default for fidelity) *)
   stage_time_s : float;
       (** wall-clock budget for one XL or ElimLin pass; a pass past its
           budget stops gracefully and returns the facts found so far.  The
           paper bounds Bosphorus's total runtime the same way (1,000 of the
           5,000 s timeout). *)
-  sat_probe_vars : int;
-      (** extension beyond the paper: failed-literal probing in the SAT
-          stage — assume each of the first N ANF variables both ways and
-          harvest forced values and equivalences from unit propagation
-          (0 disables; off by default for fidelity) *)
   seed : int;  (** RNG seed for XL/ElimLin subsampling *)
   audit_trail : bool;
       (** record an {!Audit_trail.t} in the outcome — the input system plus,
@@ -54,7 +46,7 @@ type t = {
           dedicated domains with lock-free clause sharing and
           first-finisher cancellation (see {!Sat.Portfolio}).  The
           winner's solver carries the round's facts; with
-          [incremental_sat] it becomes the surviving session solver.
+          [incremental_sat] it is the solver the next round continues.
           1 (the default) keeps the single-solver semantics bit-for-bit.
           Ignored when [audit_trail] is on — per-worker DRUP logs are not
           exchange-aware, so audited runs stay single-solver.  Every

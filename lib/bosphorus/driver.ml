@@ -36,69 +36,9 @@ type stages = {
 
 let all_stages = { use_xl = true; use_elimlin = true; use_sat = true; use_groebner = false }
 
-module PSet = Set.Make (P)
-
-module Session = struct
-  (* What survives between runs: the incremental conversion state, the
-     warm solver, the fact-extraction high-water marks that keep already
-     harvested units/binaries from being re-extracted, and the variable
-     range the conversion was fixed to.  [fed] counts the delta clauses
-     fed to this solver since it was pinned — exactly what a compatible
-     next run starts out knowing. *)
-  type state = {
-    inc : Anf_to_cnf.incremental;
-    solver : Sat.Solver.t;
-    mutable units_hwm : int;
-    mutable bins_hwm : int;
-    mutable xors_hwm : int;
-        (* XOR rows of the cumulative conversion already fed to the
-           solver's parity engine *)
-    anf_nvars : int;
-    mutable fed : int;
-    mutable polys : int;
-  }
-
-  type t = {
-    mutable st : state option;
-    mutable inputs : PSet.t;  (** the pinning run's input, as a set *)
-    mutable cfg : Config.t option;
-    mutable n_runs : int;
-    mutable n_resets : int;
-  }
-
-  let create () =
-    { st = None; inputs = PSet.empty; cfg = None; n_runs = 0; n_resets = 0 }
-
-  let runs t = t.n_runs
-  let resets t = t.n_resets
-  let carried_clauses t = match t.st with Some st -> st.fed | None -> 0
-  let carried_polys t = match t.st with Some st -> st.polys | None -> 0
-
-  (* Reuse is sound iff every clause already in the pinned solver is a
-     GF(2) consequence of the *new* input.  Pinned clauses encode
-     polynomials that are consequences of the previous input (the
-     incremental converter's own invariant), so input-superset is the
-     whole test; config equality keeps the encoding parameters (and the
-     audit-trail/portfolio gating) identical, and the variable range
-     must fit the conversion state fixed at pinning time. *)
-  let compatible t ~config polys =
-    config.Config.incremental_sat
-    && (match t.cfg with Some c -> c = config | None -> false)
-    &&
-    match t.st with
-    | None -> false
-    | Some st ->
-        let nvars =
-          List.fold_left (fun acc p -> max acc (P.max_var p + 1)) 0 polys
-        in
-        nvars <= st.anf_nvars
-        && PSet.subset t.inputs (PSet.of_list polys)
-end
-
 (* Extract ANF facts from the SAT solver's learnt units and binaries
    (Section II-D).  Units on ANF variables give value assignments; pairs of
-   complementary binary clauses give equivalences.  Units on monomial
-   auxiliary variables are harvested only under the extension flag.
+   complementary binary clauses give equivalences.
 
    [units] and [candidates] are the units/binaries to harvest — with a
    persistent solver these are only the ones learnt since the previous
@@ -106,19 +46,13 @@ end
    a new binary still pairs with a complement learnt rounds ago.  The
    equivalence polynomial is symmetric in the pair, so harvesting both
    orientations is harmless (facts are deduplicated downstream). *)
-let sat_facts ~config ~anf_nvars ~mono_of_var ~units ~binaries ~candidates =
+let sat_facts ~anf_nvars ~units ~binaries ~candidates =
   let unit_facts =
     List.filter_map
       (fun l ->
         let v = Cnf.Lit.var l in
-        let value = not (Cnf.Lit.negated l) in
-        if v < anf_nvars then Some (P.add (P.var v) (P.constant value))
-        else if config.Config.facts_from_monomial_aux then
-          match Hashtbl.find_opt mono_of_var v with
-          | Some m ->
-              let mp = P.of_monomials [ m ] in
-              Some (if value then P.add mp P.one else mp)
-          | None -> None
+        if v < anf_nvars then
+          Some (P.add (P.var v) (P.constant (not (Cnf.Lit.negated l))))
         else None)
       units
   in
@@ -152,43 +86,7 @@ let sat_facts ~config ~anf_nvars ~mono_of_var ~units ~binaries ~candidates =
   in
   unit_facts @ equiv_facts
 
-(* Failed-literal probing (extension, Config.sat_probe_vars): assume each
-   ANF variable both ways; a conflict forces the variable, and literals
-   implied under both assumptions with opposite signs are equivalences. *)
-let probe_facts ~config ~anf_nvars solver =
-  let limit = min anf_nvars config.Config.sat_probe_vars in
-  let acc = ref [] in
-  for v = 0 to limit - 1 do
-    match Sat.Solver.probe solver (Cnf.Lit.pos v) with
-    | `Conflict -> acc := P.var v :: !acc
-    | `Unusable -> ()
-    | `Implied pos_implied -> (
-        match Sat.Solver.probe solver (Cnf.Lit.neg_of v) with
-        | `Conflict -> acc := P.add (P.var v) P.one :: !acc
-        | `Unusable -> ()
-        | `Implied neg_implied ->
-            let neg_set = Hashtbl.create 16 in
-            List.iter
-              (fun l -> Hashtbl.replace neg_set (Cnf.Lit.to_index l) ())
-              neg_implied;
-            List.iter
-              (fun l ->
-                let w = Cnf.Lit.var l in
-                if
-                  w < anf_nvars
-                  && w <> v
-                  && Hashtbl.mem neg_set (Cnf.Lit.to_index (Cnf.Lit.neg l))
-                then begin
-                  (* v = 1 forces l and v = 0 forces ~l: v and l's variable
-                     are equal (same signs) or complementary *)
-                  let c = Cnf.Lit.negated l in
-                  acc := P.add (P.add (P.var v) (P.var w)) (P.constant c) :: !acc
-                end)
-              pos_implied)
-  done;
-  !acc
-
-let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
+let run_with_stages ?(config = Config.default) ?budget ~stages polys =
   (* Config validation, mirroring the portfolio/audit gate but hard: an
      audited run must be able to enable proof logging, and a solver that
      carries XOR rows refuses it (parity-derived reason clauses are not
@@ -226,14 +124,6 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
           ?max_total_conflicts:config.Config.max_total_conflicts ()
   in
   let orig_nvars = List.fold_left (fun acc p -> max acc (P.max_var p + 1)) 0 polys in
-  (* Pinned-session reuse is decided once, up front, against the same
-     compatibility rule the daemon consults; an incompatible session is
-     ignored here and re-pinned (reset) at the end of the run. *)
-  let session_reused =
-    match session with
-    | Some s -> Session.compatible s ~config polys
-    | None -> false
-  in
   let master = S.create polys in
   let trail =
     if config.Config.audit_trail then Some (Audit_trail.create ~input:polys)
@@ -267,9 +157,7 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
       List.fold_left (fun acc p -> max acc (P.max_var p + 1)) 0 polys
     in
     if List.length polys > nvars_live + 8 then begin
-      let lin, matrix = Linearize.build polys in
-      ignore (Gf2.Matrix.rref_m4rm matrix);
-      let basis = List.map (Linearize.poly_of_row lin) (Gf2.Matrix.nonzero_rows matrix) in
+      let basis = Linearize.reduce polys in
       List.iter (fun (id, _) -> S.remove master id) !linear;
       List.iter (fun p -> ignore (S.add master p)) basis;
       propagate_and_record ()
@@ -319,15 +207,8 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
   in
   (* Shared post-solve harvesting: turn the solver's result and its new
      units/binaries into ANF facts and fold them into the master. *)
-  let harvest ~anf_nvars ~mono_of_var ~solver ~result ~units ~binaries ~candidates =
-    let probed =
-      if config.Config.sat_probe_vars > 0 && Sat.Solver.okay solver then
-        probe_facts ~config ~anf_nvars solver
-      else []
-    in
-    let learnt =
-      sat_facts ~config ~anf_nvars ~mono_of_var ~units ~binaries ~candidates @ probed
-    in
+  let harvest ~anf_nvars ~result ~units ~binaries ~candidates =
+    let learnt = sat_facts ~anf_nvars ~units ~binaries ~candidates in
     match result with
     | Sat.Types.Unsat ->
         (* the learnt fact is the contradictory equation 1 = 0 *)
@@ -451,8 +332,7 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
         solver := surv;
         extra := xtra;
         let binaries = Sat.Solver.learnt_binaries surv @ xbins in
-        harvest ~anf_nvars:conv.Anf_to_cnf.anf_nvars
-          ~mono_of_var:conv.Anf_to_cnf.mono_of_var ~solver:surv ~result
+        harvest ~anf_nvars:conv.Anf_to_cnf.anf_nvars ~result
           ~units:(Sat.Solver.root_units surv @ xunits) ~binaries
           ~candidates:binaries
       end
@@ -474,16 +354,6 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
      found since the previous round via high-water marks. *)
   let inc_sat = ref None in
   let units_hwm = ref 0 and bins_hwm = ref 0 and xors_hwm = ref 0 in
-  (match session with
-  | Some s when session_reused -> (
-      match s.Session.st with
-      | Some st ->
-          inc_sat := Some (st.Session.inc, st.Session.solver);
-          units_hwm := st.Session.units_hwm;
-          bins_hwm := st.Session.bins_hwm;
-          xors_hwm := st.Session.xors_hwm
-      | None -> ())
-  | Some _ | None -> ());
   let sat_stage_incremental () =
     incr sat_calls;
     let inc, solver =
@@ -532,7 +402,7 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
       end
       else begin
         let result, surv, xtra, xunits, xbins = solve_round solver in
-        (* Pin the race winner as the session solver: clones extend the
+        (* Later rounds continue on the race winner: clones extend the
            template's grow-only logs, so the high-water marks below stay
            valid across the swap. *)
         if surv != solver then inc_sat := Some (inc, surv);
@@ -544,8 +414,7 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
           Sat.Solver.learnt_binaries_from surv !bins_hwm @ xbins
         in
         bins_hwm := Sat.Solver.n_learnt_binaries surv;
-        harvest ~anf_nvars:conv.Anf_to_cnf.anf_nvars
-          ~mono_of_var:conv.Anf_to_cnf.mono_of_var ~solver:surv ~result ~units
+        harvest ~anf_nvars:conv.Anf_to_cnf.anf_nvars ~result ~units
           ~binaries:(Sat.Solver.learnt_binaries surv @ xbins) ~candidates
       end
     in
@@ -634,44 +503,6 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
      done
    with Exit | Harness.Budget.Tripped _ -> ());
   if (not !unsat) && Harness.Budget.tripped budget = None then compress_linear ();
-  (* Re-pin (or reset) the session with whatever this run leaves behind.
-     Degraded runs pin too: the solver is still consistent after a
-     cooperative trip, and everything it holds is sound for this input. *)
-  (match session with
-  | None -> ()
-  | Some s -> (
-      s.Session.n_runs <- s.Session.n_runs + 1;
-      let sum f = List.fold_left (fun a r -> a + f r) 0 !sat_rounds in
-      match (!inc_sat, config.Config.incremental_sat) with
-      | Some (inc, solver), true ->
-          let prev_fed = if session_reused then Session.carried_clauses s else 0 in
-          let prev_polys =
-            if session_reused then Session.carried_polys s else 0
-          in
-          if (not session_reused) && Option.is_some s.Session.st then
-            s.Session.n_resets <- s.Session.n_resets + 1;
-          s.Session.st <-
-            Some
-              {
-                Session.inc;
-                solver;
-                units_hwm = !units_hwm;
-                bins_hwm = !bins_hwm;
-                xors_hwm = !xors_hwm;
-                anf_nvars = orig_nvars;
-                fed = prev_fed + sum (fun r -> r.round_delta_clauses);
-                polys = prev_polys + sum (fun r -> r.round_encoded);
-              };
-          s.Session.inputs <- PSet.of_list polys;
-          s.Session.cfg <- Some config
-      | _ ->
-          (* nothing reusable was built (fresh-SAT config, or the run
-             never reached a SAT stage): drop any stale pin *)
-          if Option.is_some s.Session.st then
-            s.Session.n_resets <- s.Session.n_resets + 1;
-          s.Session.st <- None;
-          s.Session.inputs <- PSet.empty;
-          s.Session.cfg <- None));
   let tripped = Harness.Budget.tripped budget in
   let status =
     if !unsat then Solved_unsat
@@ -698,8 +529,8 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
     sat_calls = !sat_calls; sat_rounds = List.rev !sat_rounds; trail;
     budget_report }
 
-let run ?config ?budget ?session polys =
-  run_with_stages ?config ?budget ?session ~stages:all_stages polys
+let run ?config ?budget polys =
+  run_with_stages ?config ?budget ~stages:all_stages polys
 
 let run_cnf ?(config = Config.default) ?budget ?(xors = []) f =
   let conv = Cnf_to_anf.convert ~config f in

@@ -56,62 +56,16 @@ type outcome = {
           untripped run *)
 }
 
-(** {1 Pinned solver sessions}
-
-    A {!Session.t} lets a caller that iterates on one system — a service
-    client refining a cipher instance request after request — keep the
-    incremental ANF-to-CNF conversion state and the warm SAT solver
-    alive {e across} driver runs, not just across the rounds of one run.
-
-    Soundness rule: the pinned solver's clauses are consequences of the
-    session's previous input system, so they may carry over exactly when
-    the new input is a {b superset} of the previous one (same
-    {!Config.t}, variables within the pinned range).  {!Session.compatible}
-    is that test; an incompatible run silently resets the session and
-    runs from scratch, so a session can never make a run unsound — only
-    warmer.  Results of a compatible warm run may differ from a cold run
-    only by {e knowing more} (the solver starts with the previous run's
-    learnt clauses); statuses Sat/Unsat agree with the cold semantics.
-
-    A session is single-owner: it must not be used by two concurrent
-    runs (the service daemon checks sessions out under a lock). *)
-module Session : sig
-  type t
-
-  val create : unit -> t
-
-  (** Driver runs that were handed this session (compatible or not). *)
-  val runs : t -> int
-
-  (** Times a handed-in session had pinned state that could not be
-      reused and was discarded. *)
-  val resets : t -> int
-
-  (** Clauses already sitting in the pinned solver — what the next
-      compatible run reuses without re-encoding (0 when nothing is
-      pinned). *)
-  val carried_clauses : t -> int
-
-  (** Polynomials already encoded by the pinned conversion state. *)
-  val carried_polys : t -> int
-
-  (** Would a run of [polys] under [config] reuse the pinned state?
-      True iff state is pinned, [config] equals the pinning run's
-      (including [incremental_sat] on), [polys] is a superset of the
-      previous input and stays within the pinned variable range. *)
-  val compatible : t -> config:Config.t -> Anf.Poly.t list -> bool
-end
-
-(** [run ?config ?budget ?session polys] preprocesses the ANF system
-    [polys].  [budget], when given, replaces the budget the driver would
-    build from [config]'s ceilings — the caller owns ceilings, trips and
-    external cancellation ({!Harness.Budget.cancel_now}); [config]'s
-    ceiling fields are ignored.  [session] pins the incremental solver
-    across calls (see {!Session}). *)
+(** [run ?config ?budget polys] preprocesses the ANF system [polys].
+    [budget], when given, replaces the budget the driver would build from
+    [config]'s ceilings — the caller owns ceilings, trips and external
+    cancellation ({!Harness.Budget.cancel_now}); [config]'s ceiling fields
+    are ignored.  Each run builds its own conversion state and SAT solver
+    and drops them on return: nothing learnt carries over to a later
+    run. *)
 val run :
   ?config:Config.t ->
   ?budget:Harness.Budget.t ->
-  ?session:Session.t ->
   Anf.Poly.t list ->
   outcome
 
@@ -153,7 +107,6 @@ val all_stages : stages
 val run_with_stages :
   ?config:Config.t ->
   ?budget:Harness.Budget.t ->
-  ?session:Session.t ->
   stages:stages ->
   Anf.Poly.t list ->
   outcome

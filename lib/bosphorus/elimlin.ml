@@ -7,11 +7,8 @@ let m_substitutions = Obs.Metrics.counter "elimlin.substitutions"
 let m_facts = Obs.Metrics.counter "elimlin.facts"
 let m_rounds = Obs.Metrics.counter "elimlin.rounds"
 
-let gje ?(poll = fun () -> ()) polys =
-  Obs.Trace.with_span ~name:"elimlin.gje" @@ fun () ->
-  let lin, matrix = Linearize.build polys in
-  ignore (Gf2.Matrix.rref_m4rm ~poll matrix);
-  List.map (Linearize.poly_of_row lin) (Gf2.Matrix.nonzero_rows matrix)
+let gje ?poll polys =
+  Obs.Trace.with_span ~name:"elimlin.gje" @@ fun () -> Linearize.reduce ?poll polys
 
 exception Contradiction_found of P.t list
 exception Out_of_time

@@ -46,4 +46,9 @@ let columns t = t.columns
 let poly_of_row t row =
   Anf.Poly.of_monomials (Gf2.Bitvec.fold_set row [] (fun acc i -> t.columns.(i) :: acc))
 
+let reduce ?poll polys =
+  let t, matrix = build polys in
+  ignore (Gf2.Matrix.rref_m4rm ?poll matrix);
+  List.map (poly_of_row t) (Gf2.Matrix.nonzero_rows matrix)
+
 let cells polys = List.length polys * Array.length (column_basis polys)

@@ -104,7 +104,7 @@ type outcome = {
   solver : Solver.t;
       (** the winning worker's solver (worker 0's when undecided) — its
           model, root units and learnt logs are the race's surviving
-          state; incremental callers pin it as the session solver *)
+          state; incremental callers continue the next round on it *)
   units : Cnf.Lit.t list;  (** all exchanged unit facts, for fact harvesting *)
   binaries : (Cnf.Lit.t * Cnf.Lit.t) list;  (** all exchanged binaries *)
   exchanged : int array list;  (** every exchanged clause, packed literals *)

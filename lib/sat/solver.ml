@@ -1198,34 +1198,6 @@ let solve ?conflict_budget ?time_budget_s ?interrupt t =
       Obs.Metrics.incr m_gauss_rounds ~by:(s.gauss_rounds - g0))
     (fun () -> solve_inner ?conflict_budget ?time_budget_s ?interrupt t)
 
-let probe t l =
-  if not t.ok then `Unusable
-  else begin
-    cancel_until t 0;
-    if propagate t <> Arena.none then begin
-      mark_unsat t;
-      `Unusable
-    end
-    else begin
-      let p = Cnf.Lit.to_index l in
-      if lit_code t p <> code_unknown then `Unusable
-      else begin
-        Ivec.push t.trail_lim t.trail_size;
-        let base = t.trail_size in
-        enqueue t p Arena.none;
-        let outcome =
-          if propagate t <> Arena.none then `Conflict
-          else
-            `Implied
-              (List.init (t.trail_size - base - 1) (fun i ->
-                   Cnf.Lit.of_index (A1.get t.trail (base + 1 + i))))
-        in
-        cancel_until t 0;
-        outcome
-      end
-    end
-  end
-
 (* Allocation-gate hook (bench micro --alloc-gate and the GC regression
    test): redo the implication chain of decision literal [p] [reps]
    times — push a decision level, enqueue, propagate to fixpoint,

@@ -92,14 +92,6 @@ val solve :
   t ->
   Types.result
 
-(** [probe t l] temporarily assumes literal [l] at a fresh decision level
-    and unit-propagates: [`Conflict] means [¬l] is implied by the formula
-    (a failed literal); [`Implied lits] lists every literal forced by the
-    assumption.  State is restored before returning.  Requires a solver at
-    decision level 0 with no pending conflict; returns [`Unusable] if the
-    literal is already assigned or the solver is not okay. *)
-val probe : t -> Cnf.Lit.t -> [ `Conflict | `Implied of Cnf.Lit.t list | `Unusable ]
-
 (** [okay t] is [false] once unsatisfiability was established at the root
     level. *)
 val okay : t -> bool

@@ -5,11 +5,10 @@
     the same system share a key), the input format and the effective
     driver config.  Only results that are {b sound to replay} are stored:
     runs free of any conflict ceiling (which clips per-round SAT budgets
-    and so changes even untripped results), that did not trip, and that
-    did not start from a warm pinned session — such a run's summary is a
-    pure function of (config, instance).  A cache hit is therefore
-    observationally identical to a cache miss, which the differential
-    suite checks end to end.
+    and so changes even untripped results) that neither tripped nor
+    degraded — such a run's summary is a pure function of (config,
+    instance).  A cache hit is therefore observationally identical to a
+    cache miss, which the differential suite checks end to end.
 
     Eviction is LRU over a fixed capacity.  All operations are
     thread-safe (the daemon's connection threads and worker domains

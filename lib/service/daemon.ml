@@ -24,21 +24,13 @@ let default_config ~socket_path =
 let m_requests = Obs.Metrics.counter "service.requests"
 let m_cache_hits = Obs.Metrics.counter "service.cache_hits"
 let m_degraded = Obs.Metrics.counter "service.degraded"
-let m_session_reuses = Obs.Metrics.counter "service.session_reuses"
 let g_queue_depth = Obs.Metrics.gauge "service.queue_depth"
 let h_request_wall = Obs.Metrics.histogram "service.request_wall_s"
-
-type session_slot = {
-  session : Bosphorus.Driver.Session.t;
-  mutable in_use : bool;
-}
 
 type t = {
   cfg : config;
   sched : Sched.t;
   cache : Cache.t;
-  sessions : (string, session_slot) Hashtbl.t;
-  sessions_m : Mutex.t;
   listen_fd : Unix.file_descr;
   started_at : float;
   stop_requested : bool Atomic.t;
@@ -50,37 +42,10 @@ type t = {
   mutable accept_thread : Thread.t option;
   n_requests : int Atomic.t;
   n_degraded : int Atomic.t;
-  n_session_reuses : int Atomic.t;
   n_protocol_errors : int Atomic.t;
 }
 
 let socket_path t = t.cfg.socket_path
-
-(* ------------------------------------------------------------------ *)
-(* sessions                                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Check a client's pinned session out for exclusive use; a second
-   concurrent job of the same client gets [None] and runs cold — the
-   session is single-owner by contract. *)
-let checkout_session t client =
-  Mutex.lock t.sessions_m;
-  let slot =
-    match Hashtbl.find_opt t.sessions client with
-    | Some slot -> slot
-    | None ->
-        let slot = { session = Bosphorus.Driver.Session.create (); in_use = false } in
-        Hashtbl.replace t.sessions client slot;
-        slot
-  in
-  let got = if slot.in_use then None else (slot.in_use <- true; Some slot) in
-  Mutex.unlock t.sessions_m;
-  got
-
-let release_session t slot =
-  Mutex.lock t.sessions_m;
-  slot.in_use <- false;
-  Mutex.unlock t.sessions_m
 
 (* ------------------------------------------------------------------ *)
 (* workers                                                             *)
@@ -95,7 +60,7 @@ let job_budget t job =
   let effective =
     B.clamp_limits
       ~ceiling:(B.slice_limits ~share t.cfg.per_client)
-      job.Sched.submit.Protocol.limits
+      job.Sched.limits
   in
   let loop_limits =
     match effective.B.timeout_s with
@@ -113,33 +78,15 @@ let exec t (job : Sched.job) =
     B.cancel_now budget ~layer:"service"
       ~detail:(Printf.sprintf "job %d cancelled by client request" job.Sched.id);
   let config = t.cfg.base_config in
-  let outcome, carried =
+  let outcome =
     match job.Sched.problem with
-    | `Cnf (f, xors) -> (Bosphorus.Driver.run_cnf ~config ~budget ~xors f, 0)
-    | `Anf polys -> (
-        match checkout_session t job.Sched.client with
-        | None -> (Bosphorus.Driver.run ~config ~budget polys, 0)
-        | Some slot ->
-            let session = slot.session in
-            let carried =
-              if Bosphorus.Driver.Session.compatible session ~config polys then
-                Bosphorus.Driver.Session.carried_clauses session
-              else 0
-            in
-            let outcome =
-              Fun.protect
-                ~finally:(fun () -> release_session t slot)
-                (fun () -> Bosphorus.Driver.run ~config ~budget ~session polys)
-            in
-            (outcome, carried))
+    | Some (`Cnf (f, xors)) -> Bosphorus.Driver.run_cnf ~config ~budget ~xors f
+    | Some (`Anf polys) -> Bosphorus.Driver.run ~config ~budget polys
+    | None -> invalid_arg "Daemon.exec: job has no problem"
   in
-  if carried > 0 then begin
-    Atomic.incr t.n_session_reuses;
-    Obs.Metrics.incr m_session_reuses
-  end;
   Protocol.summary_of_outcome
     ~wall_s:(Unix.gettimeofday () -. started)
-    ~cache_hit:false ~session_reused_clauses:carried outcome
+    ~cache_hit:false outcome
 
 let run_job t job =
   Obs.Metrics.set_gauge g_queue_depth (Sched.queue_depth t.sched);
@@ -159,11 +106,11 @@ let run_job t job =
         Atomic.incr t.n_degraded;
         Obs.Metrics.incr m_degraded
       end;
-      (* store only replay-sound results: unlimited, untripped, cold *)
+      (* store only replay-sound results: no conflict ceiling (no key
+         otherwise), untripped, not degraded *)
       (match job.Sched.cache_key with
       | Some key
         when summary.Protocol.trip = None
-             && summary.Protocol.session_reused_clauses = 0
              && summary.Protocol.status <> "degraded" ->
           Cache.store t.cache key summary
       | Some _ | None -> ());
@@ -192,7 +139,6 @@ let stats t =
       ("cache_misses", float_of_int (Cache.misses t.cache));
       ("cache_size", float_of_int (Cache.size t.cache));
       ("degraded", float_of_int (Atomic.get t.n_degraded));
-      ("session_reuses", float_of_int (Atomic.get t.n_session_reuses));
       ("protocol_errors", float_of_int (Atomic.get t.n_protocol_errors));
       ("workers", float_of_int t.cfg.workers);
       ("uptime_s", Unix.gettimeofday () -. t.started_at);
@@ -246,16 +192,14 @@ let handle_submit t respond (sub : Protocol.submit) =
       | Some s ->
           Obs.Metrics.incr m_cache_hits;
           let summary = { s with Protocol.cache_hit = true } in
-          let job =
-            Sched.add_completed t.sched ~client:sub.Protocol.client ~problem
-              sub summary
-          in
+          let job = Sched.add_completed t.sched ~client:sub.Protocol.client summary in
           respond (Protocol.Result (job.Sched.id, summary))
       | None ->
           let job =
             Sched.submit t.sched ~client:sub.Protocol.client
+              ~limits:sub.Protocol.limits
               ?cache_key:(if cacheable then Some key else None)
-              ~problem sub
+              problem
           in
           Obs.Metrics.set_gauge g_queue_depth (Sched.queue_depth t.sched);
           if sub.Protocol.wait then begin
@@ -415,8 +359,6 @@ let start cfg =
       cfg;
       sched = Sched.create ();
       cache = Cache.create ~capacity:cfg.cache_capacity ();
-      sessions = Hashtbl.create 16;
-      sessions_m = Mutex.create ();
       listen_fd;
       started_at = Unix.gettimeofday ();
       stop_requested = Atomic.make false;
@@ -428,7 +370,6 @@ let start cfg =
       accept_thread = None;
       n_requests = Atomic.make 0;
       n_degraded = Atomic.make 0;
-      n_session_reuses = Atomic.make 0;
       n_protocol_errors = Atomic.make 0;
     }
   in

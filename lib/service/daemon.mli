@@ -13,10 +13,12 @@
       connection — and other clients' budgets are untouched.
     - {b encoding cache}: canonical-digest keyed ({!Cache}); only
       replay-sound results are stored.
-    - {b session pinning}: each client owns one {!Bosphorus.Driver.Session}
-      reused when the new input is compatible (superset rule), checked
-      out under a lock so concurrent same-client jobs run cold instead of
-      racing on the pinned solver.
+    - {b cold runs}: every job is one {!Bosphorus.Driver.run} with its
+      own solver, so a reply depends only on the request, never on what
+      the same client sent before.
+    - {b bounded job table}: a finished job's parsed instance is dropped
+      at once, and only the newest {!Sched.retained_terminal} finished
+      jobs stay known to [status]/[cancel].
 
     Robustness: malformed, truncated or oversized frames produce
     structured error replies (or a quiet connection close on EOF); worker

@@ -28,13 +28,11 @@ type summary = {
   sat_calls : int;
   wall_s : float;
   cache_hit : bool;
-  session_reused_clauses : int;
   reused_polys : int;
   trip : trip_info option;
 }
 
-let summary_of_outcome ~wall_s ~cache_hit ~session_reused_clauses
-    (o : Bosphorus.Driver.outcome) =
+let summary_of_outcome ~wall_s ~cache_hit (o : Bosphorus.Driver.outcome) =
   let status, model =
     match o.Bosphorus.Driver.status with
     | Bosphorus.Driver.Solved_sat m -> ("sat", Some m)
@@ -75,7 +73,6 @@ let summary_of_outcome ~wall_s ~cache_hit ~session_reused_clauses
     sat_calls = o.sat_calls;
     wall_s;
     cache_hit;
-    session_reused_clauses;
     reused_polys;
     trip;
   }
@@ -268,7 +265,6 @@ let summary_to_json s =
       ("sat_calls", V.Int s.sat_calls);
       ("wall_s", V.Float s.wall_s);
       ("cache_hit", V.Bool s.cache_hit);
-      ("session_reused_clauses", V.Int s.session_reused_clauses);
       ("reused_polys", V.Int s.reused_polys);
       ( "trip",
         match s.trip with
@@ -312,9 +308,6 @@ let summary_of_json v =
   let* sat_calls = req_field "sat_calls" J.to_int_opt v in
   let* wall_s = req_field "wall_s" J.to_float_opt v in
   let* cache_hit = req_field "cache_hit" J.to_bool_opt v in
-  let* session_reused_clauses =
-    req_field "session_reused_clauses" J.to_int_opt v
-  in
   let* reused_polys = req_field "reused_polys" J.to_int_opt v in
   let* trip =
     match J.member "trip" v with
@@ -334,7 +327,6 @@ let summary_of_json v =
       sat_calls;
       wall_s;
       cache_hit;
-      session_reused_clauses;
       reused_polys;
       trip;
     }

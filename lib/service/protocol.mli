@@ -49,8 +49,6 @@ type summary = {
   sat_calls : int;
   wall_s : float;
   cache_hit : bool;
-  session_reused_clauses : int;
-      (** clauses the pinned session carried into this run (0 = cold) *)
   reused_polys : int;
       (** polynomials the incremental encoder skipped as already encoded *)
   trip : trip_info option;
@@ -68,14 +66,9 @@ type response =
           "unknown-job", "cancelled", "failed", "internal" *)
   | Bye
 
-(** Flatten a driver outcome.  [session_reused_clauses] is supplied by
-    the caller (the daemon knows what the session carried in). *)
+(** Flatten a driver outcome. *)
 val summary_of_outcome :
-  wall_s:float ->
-  cache_hit:bool ->
-  session_reused_clauses:int ->
-  Bosphorus.Driver.outcome ->
-  summary
+  wall_s:float -> cache_hit:bool -> Bosphorus.Driver.outcome -> summary
 
 (** {1 Framing} *)
 

@@ -14,8 +14,8 @@ let state_name = function
 type job = {
   id : int;
   client : string;
-  submit : Protocol.submit;
-  problem : problem;
+  limits : Harness.Budget.limits;
+  mutable problem : problem option;
   cache_key : string option;
   mutable state : state;
   mutable budget : Harness.Budget.t option;
@@ -34,6 +34,7 @@ type t = {
   in_ring : (string, unit) Hashtbl.t;
   running : (string, int) Hashtbl.t;
   jobs : (int, job) Hashtbl.t;
+  retired : int Queue.t;  (** ids of the terminal jobs in [jobs], oldest first *)
   mutable next_id : int;
   mutable depth : int;
   mutable n_running : int;
@@ -54,6 +55,7 @@ let create () =
     in_ring = Hashtbl.create 16;
     running = Hashtbl.create 16;
     jobs = Hashtbl.create 64;
+    retired = Queue.create ();
     next_id = 0;
     depth = 0;
     n_running = 0;
@@ -68,13 +70,24 @@ let locked t f =
   Mutex.lock t.m;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
-let fresh_job t ~client ~cache_key ~problem ~state submit =
+let retained_terminal = 1024
+
+(* A job's terminal transition: drop the parsed problem, and forget the
+   oldest terminal record once more than [retained_terminal] are kept.
+   Caller holds the lock. *)
+let retire t job =
+  job.problem <- None;
+  Queue.push job.id t.retired;
+  if Queue.length t.retired > retained_terminal then
+    Hashtbl.remove t.jobs (Queue.pop t.retired)
+
+let fresh_job t ~client ~limits ~cache_key ~problem ~state =
   t.next_id <- t.next_id + 1;
   let job =
     {
       id = t.next_id;
       client;
-      submit;
+      limits;
       problem;
       cache_key;
       state;
@@ -88,9 +101,11 @@ let fresh_job t ~client ~cache_key ~problem ~state submit =
   t.n_submitted <- t.n_submitted + 1;
   job
 
-let submit t ~client ?cache_key ~problem sub =
+let submit t ~client ~limits ?cache_key problem =
   locked t @@ fun () ->
-  let job = fresh_job t ~client ~cache_key ~problem ~state:Queued sub in
+  let job =
+    fresh_job t ~client ~limits ~cache_key ~problem:(Some problem) ~state:Queued
+  in
   let q =
     match Hashtbl.find_opt t.queues client with
     | Some q -> q
@@ -108,11 +123,15 @@ let submit t ~client ?cache_key ~problem sub =
   Condition.signal t.work_cv;
   job
 
-let add_completed t ~client ~problem sub summary =
+let add_completed t ~client summary =
   locked t @@ fun () ->
-  let job = fresh_job t ~client ~cache_key:None ~problem ~state:Done sub in
+  let job =
+    fresh_job t ~client ~limits:Harness.Budget.no_limits ~cache_key:None
+      ~problem:None ~state:Done
+  in
   job.summary <- Some summary;
   t.n_done <- t.n_done + 1;
+  retire t job;
   job
 
 let find t id = locked t @@ fun () -> Hashtbl.find_opt t.jobs id
@@ -163,6 +182,7 @@ let finish t job result =
       job.state <- Failed;
       job.error <- Some msg;
       t.n_failed <- t.n_failed + 1);
+  retire t job;
   t.n_running <- t.n_running - 1;
   (match Hashtbl.find_opt t.running job.client with
   | Some n when n > 1 -> Hashtbl.replace t.running job.client (n - 1)
@@ -179,6 +199,7 @@ let cancel t id =
           job.state <- Cancelled;
           t.depth <- t.depth - 1;
           t.n_cancelled <- t.n_cancelled + 1;
+          retire t job;
           Condition.broadcast t.done_cv;
           `Cancelled
       | Running ->
@@ -225,7 +246,8 @@ let stop t =
           if job.state = Queued then begin
             job.state <- Cancelled;
             t.depth <- t.depth - 1;
-            t.n_cancelled <- t.n_cancelled + 1
+            t.n_cancelled <- t.n_cancelled + 1;
+            retire t job
           end)
         q)
     t.queues;

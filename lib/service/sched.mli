@@ -16,8 +16,9 @@ val state_name : state -> string
 type job = {
   id : int;
   client : string;
-  submit : Protocol.submit;
-  problem : problem;
+  limits : Harness.Budget.limits;  (** the ceilings the request asked for *)
+  mutable problem : problem option;
+      (** the parsed instance; [None] once the job is terminal *)
   cache_key : string option;
       (** key under which an eligible result should be stored *)
   mutable state : state;
@@ -33,15 +34,19 @@ type t
 
 val create : unit -> t
 
+(** Terminal job records kept for {!find}: past this many, each terminal
+    transition forgets the oldest one, and {!find}/{!cancel} on its id
+    answer as for an id never issued.  A live (queued or running) job is
+    never forgotten. *)
+val retained_terminal : int
+
 (** Enqueue; wakes one worker. *)
 val submit :
-  t -> client:string -> ?cache_key:string -> problem:problem ->
-  Protocol.submit -> job
+  t -> client:string -> limits:Harness.Budget.limits -> ?cache_key:string ->
+  problem -> job
 
 (** Record an already-finished job (cache hit) so {!find}/status work. *)
-val add_completed :
-  t -> client:string -> problem:problem -> Protocol.submit ->
-  Protocol.summary -> job
+val add_completed : t -> client:string -> Protocol.summary -> job
 
 val find : t -> int -> job option
 

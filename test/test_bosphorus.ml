@@ -504,29 +504,6 @@ let prop_driver_preserves_solution_set =
           in
           List.length original = Anf.Eval.count_solutions processed * (1 lsl free))
 
-let prop_monomial_aux_extension_sound =
-  (* the facts_from_monomial_aux extension (off by default, matching the
-     paper) must stay sound: with it on and the Tseitin path forced, the
-     driver still decides correctly *)
-  QCheck.Test.make ~name:"monomial-aux fact extension is sound" ~count:40 arb_system
-    (fun polys ->
-      let config =
-        {
-          B.Config.default with
-          B.Config.karnaugh_vars = 0;
-          facts_from_monomial_aux = true;
-        }
-      in
-      let expected = Anf.Eval.solution_exists polys in
-      match (B.Driver.run ~config polys).B.Driver.status with
-      | B.Driver.Solved_sat sol ->
-          expected
-          &&
-          let lookup x = try List.assoc x sol with Not_found -> false in
-          Anf.Eval.satisfies lookup polys
-      | B.Driver.Solved_unsat -> not expected
-      | B.Driver.Processed | B.Driver.Degraded -> true)
-
 let prop_facts_always_implied =
   QCheck.Test.make ~name:"all learnt facts are implied" ~count:60 arb_system
     (fun polys ->
@@ -635,7 +612,6 @@ let qcheck_cases =
       prop_cnf_to_anf_equisatisfiable;
       prop_driver_decides_correctly;
       prop_driver_preserves_solution_set;
-      prop_monomial_aux_extension_sound;
       prop_facts_always_implied;
       prop_incremental_matches_fresh;
     ]

@@ -234,7 +234,7 @@ let run_mode mode () =
    client name (a cache hit replaying the stored summary) — and both
    replies must equal the summary of a direct [Driver.run] with the same
    config, modulo wall-clock and the cache flag.  This is the end-to-end
-   check that the service layer (scheduling, budgets, sessions, cache)
+   check that the service layer (scheduling, budgets, cache)
    adds no observable behaviour of its own. *)
 
 let service_config =
@@ -280,7 +280,6 @@ let run_service_mode () =
       let reference = Anf.Anf_io.parse_string text in
       let expected =
         Service.Protocol.summary_of_outcome ~wall_s:0.0 ~cache_hit:false
-          ~session_reused_clauses:0
           (B.Driver.run ~config reference)
       in
       let cold = submit ~tenant:(Printf.sprintf "diff-%d" !i) text in

@@ -546,91 +546,6 @@ let prop_unsat_proofs_verify =
       | Sat.Types.Sat _ | Sat.Types.Undecided -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Probing                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_probe_implications () =
-  (* x0 -> x1 -> x2: probing x0 implies x1 and x2 *)
-  let s = solver_of_dimacs_clauses ~nvars:3 [ [ -1; 2 ]; [ -2; 3 ] ] in
-  (match S.probe s (L.pos 0) with
-  | `Implied lits ->
-      let vars = List.sort Int.compare (List.map L.var lits) in
-      Alcotest.(check (list int)) "implied x1 x2" [ 1; 2 ] vars;
-      check "all positive" true (List.for_all (fun l -> not (L.negated l)) lits)
-  | `Conflict | `Unusable -> Alcotest.fail "expected implications");
-  (* state restored: solver still solves *)
-  check "still solvable" true (is_sat (S.solve s))
-
-let test_probe_failed_literal () =
-  (* x0 -> x1 and x0 -> ~x1: assuming x0 conflicts, so ~x0 is forced *)
-  let s = solver_of_dimacs_clauses ~nvars:2 [ [ -1; 2 ]; [ -1; -2 ] ] in
-  (match S.probe s (L.pos 0) with
-  | `Conflict -> ()
-  | `Implied _ | `Unusable -> Alcotest.fail "expected a failed literal");
-  (match S.probe s (L.neg_of 0) with
-  | `Implied [] -> ()
-  | `Implied _ -> Alcotest.fail "~x0 implies nothing here"
-  | `Conflict | `Unusable -> Alcotest.fail "~x0 is consistent");
-  check "still solvable" true (is_sat (S.solve s))
-
-let test_probe_assigned_unusable () =
-  let s = solver_of_dimacs_clauses ~nvars:2 [ [ 1 ] ] in
-  ignore (S.solve s);
-  match S.probe s (L.pos 0) with
-  | `Unusable -> ()
-  | `Conflict | `Implied _ -> Alcotest.fail "probing an assigned literal"
-
-let test_driver_probing_learns_equivalence () =
-  (* x1 xor x2 = 1 encoded nonlinearly enough that only probing (not the
-     classify shapes) sees it... simplest: give the driver a system where
-     probing must find v equivalences through CNF implications.  Use the
-     xor clauses directly via CNF -> ANF with probing on. *)
-  let config =
-    { Bosphorus.Config.default with Bosphorus.Config.sat_probe_vars = 8 }
-  in
-  let polys = [ Anf.Anf_io.poly_of_string "x0*x1 + x0 + x1" ] in
-  (* x0*x1 + x0 + x1 = 0 means x0 or x1 is 0... and (x0,x1) != (1,1):
-     actually it forces x0 = x1 = 0 or exactly one... truth table:
-     00->0 ok; 01->1 no; 10->1 no; 11->1+1+1=1 no. Unique solution x0=x1=0. *)
-  match (Bosphorus.Driver.run ~config polys).Bosphorus.Driver.status with
-  | Bosphorus.Driver.Solved_sat sol ->
-      check "x0=0" false (List.assoc 0 sol);
-      check "x1=0" false (List.assoc 1 sol)
-  | Bosphorus.Driver.Solved_unsat | Bosphorus.Driver.Processed
-  | Bosphorus.Driver.Degraded ->
-      Alcotest.fail "expected solution"
-
-let prop_probing_driver_sound =
-  QCheck.Test.make ~name:"driver with probing agrees with brute force" ~count:40
-    arb_cnf
-    (fun (nvars, cls) ->
-      let f = formula_of (nvars, cls) in
-      let expected = Cnf.Formula.brute_force_sat f = Some true in
-      let config =
-        { Bosphorus.Config.default with Bosphorus.Config.sat_probe_vars = 16 }
-      in
-      match (Bosphorus.Driver.run_cnf ~config f).Bosphorus.Driver.status with
-      | Bosphorus.Driver.Solved_sat sol ->
-          expected
-          &&
-          let lookup x = try List.assoc x sol with Not_found -> false in
-          Cnf.Formula.eval lookup f
-      | Bosphorus.Driver.Solved_unsat -> not expected
-      | Bosphorus.Driver.Processed | Bosphorus.Driver.Degraded -> true)
-
-let probe_suite =
-  [
-    ( "sat.probe",
-      [
-        Alcotest.test_case "implications" `Quick test_probe_implications;
-        Alcotest.test_case "failed literal" `Quick test_probe_failed_literal;
-        Alcotest.test_case "assigned is unusable" `Quick test_probe_assigned_unusable;
-        Alcotest.test_case "driver probing solves" `Quick test_driver_probing_learns_equivalence;
-        QCheck_alcotest.to_alcotest prop_probing_driver_sound;
-      ] );
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* Enumeration                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -1042,5 +957,5 @@ let offheap_suite =
   ]
 
 let suite =
-  main_suite @ probe_suite @ enumerate_suite @ proof_suite @ concurrency_suite
+  main_suite @ enumerate_suite @ proof_suite @ concurrency_suite
   @ arena_suite @ offheap_suite

@@ -1,10 +1,10 @@
 (* Service-mode tests: wire protocol round-trips, a daemon that survives
    hostile peers (malformed/truncated/oversized frames), cache-hit vs
-   cache-miss equivalence, per-client session pinning, fair-share
-   degradation under concurrent multi-tenant load, cancellation, fault
-   injection, and clean shutdown.  Every daemon here runs in-process
-   (worker domains + connection threads), talking over real Unix-domain
-   sockets in the test's working directory. *)
+   cache-miss equivalence, cold runs for every request, a bounded job
+   table, fair-share degradation under concurrent multi-tenant load,
+   cancellation, fault injection, and clean shutdown.  Every daemon here
+   runs in-process (worker domains + connection threads), talking over
+   real Unix-domain sockets in the test's working directory. *)
 
 module B = Bosphorus
 module P = Anf.Poly
@@ -92,7 +92,6 @@ let sample_summary =
     sat_calls = 2;
     wall_s = 0.125;
     cache_hit = true;
-    session_reused_clauses = 42;
     reused_polys = 5;
     trip =
       Some
@@ -259,15 +258,18 @@ let test_cache_equivalence () =
   check "daemon counted hits" true (daemon_stat d "cache_hits" >= 2.0)
 
 (* ------------------------------------------------------------------ *)
-(* session pinning                                                     *)
+(* every request runs cold                                             *)
 (* ------------------------------------------------------------------ *)
 
-let test_session_pinning () =
-  with_daemon "session" @@ fun d socket ->
+(* A driver run owns its solver from start to end: when a client sends a
+   system and then a superset of it, the superset's reply is exactly the
+   one-shot driver's summary — nothing learnt for the first request
+   reaches the second. *)
+let test_superset_runs_cold () =
+  with_daemon "cold" @@ fun _d socket ->
   with_client socket @@ fun c ->
-  (* hard enough that the SAT stage actually feeds clauses into the
-     pinned solver (a system solved outright by propagation/XL pins an
-     empty session, which carries nothing) *)
+  (* hard enough that the SAT stage feeds clauses into its solver (a
+     system solved outright by propagation/XL never builds one) *)
   let s1 =
     "x2*x11 + x5*x7 + x6*x11 + x7*x11 + 1\n\
      x3*x12 + x5*x7 + 1\n\
@@ -281,18 +283,59 @@ let test_session_pinning () =
      x1*x5 + x1*x6 + x3*x10 + x4*x12 + 1\n"
   in
   let s2 = s1 ^ "x1*x2 + x3 + 1\n" in
-  let first = submit_ok ~what:"pin first" c ~client:"pin" s1 in
-  Alcotest.(check int) "first run is cold" 0 first.SP.session_reused_clauses;
-  (* superset of the previous input, same client: the pinned solver and
-     conversion state carry over *)
-  let second = submit_ok ~what:"pin second" c ~client:"pin" s2 in
-  check "second request reuses pinned clauses" true
-    (second.SP.session_reused_clauses > 0);
-  check "daemon counted the reuse" true (daemon_stat d "session_reuses" >= 1.0);
-  (* an unrelated system from the same client silently resets, never errors *)
-  let third = submit_ok ~what:"pin third" c ~client:"pin" "x9 + x8\nx8*x9 + 1\n" in
-  Alcotest.(check int) "incompatible input runs cold" 0
-    third.SP.session_reused_clauses
+  let one_shot text =
+    SP.summary_of_outcome ~wall_s:0.0 ~cache_hit:false
+      (B.Driver.run (Anf.Anf_io.parse_string text))
+  in
+  let first = submit_ok ~what:"first" c ~client:"pin" s1 in
+  check "first reply equals the one-shot run" true (strip first = one_shot s1);
+  let second = submit_ok ~what:"superset" c ~client:"pin" s2 in
+  check "superset is not a cache hit" false second.SP.cache_hit;
+  check "superset reply equals the one-shot run" true (strip second = one_shot s2)
+
+(* ------------------------------------------------------------------ *)
+(* bounded job table                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Every request leaves a job record for [status]; only the newest
+   [Sched.retained_terminal] finished ones are kept.  Cache hits are the
+   cheapest way to finish jobs. *)
+let test_job_table_bounded () =
+  with_daemon ~workers:1 "evict" @@ fun d socket ->
+  with_client socket @@ fun c ->
+  let submit () =
+    match Service.Client.submit c ~client:"e" ~format:SP.Anf trivial_anf with
+    | Ok (SP.Result (id, s)) -> (id, s)
+    | Ok _ -> Alcotest.fail "submit: unexpected reply"
+    | Error m -> Alcotest.failf "submit: transport error: %s" m
+  in
+  let status_done what id =
+    match Service.Client.status c id with
+    | Ok (SP.Job_status (id', "done", Some s)) ->
+        Alcotest.(check int) (what ^ ": id") id id';
+        s
+    | Ok r -> Alcotest.failf "%s: unexpected status reply %s" what (SP.encode_response r)
+    | Error m -> Alcotest.failf "%s: transport error: %s" what m
+  in
+  let oldest, _ = submit () in
+  let hits n = List.init n (fun _ -> submit ()) in
+  (* the oldest record plus retained_terminal - 1 hits: all kept *)
+  ignore (hits (Service.Sched.retained_terminal - 1));
+  ignore (status_done "oldest, table full" oldest);
+  (* one more finished job pushes the oldest out *)
+  let newest, newest_summary =
+    match hits 1 with [ r ] -> r | _ -> assert false
+  in
+  check "the hits were cache hits" true newest_summary.SP.cache_hit;
+  expect_error ~what:"status of an evicted job" "unknown-job"
+    (Service.Client.status c oldest);
+  expect_error ~what:"cancel of an evicted job" "unknown-job"
+    (Service.Client.cancel c oldest);
+  check "newest still answers with its summary" true
+    (status_done "newest" newest = newest_summary);
+  Alcotest.(check int) "every request counted"
+    (Service.Sched.retained_terminal + 1)
+    (int_of_float (daemon_stat d "submitted"))
 
 (* ------------------------------------------------------------------ *)
 (* fair-share multi-tenant stress                                      *)
@@ -519,7 +562,8 @@ let suite =
         Alcotest.test_case "protocol/framing" `Quick test_framing;
         Alcotest.test_case "daemon/hostile-peers" `Quick test_malformed_never_kills;
         Alcotest.test_case "daemon/cache-equivalence" `Quick test_cache_equivalence;
-        Alcotest.test_case "daemon/session-pinning" `Quick test_session_pinning;
+        Alcotest.test_case "daemon/superset-runs-cold" `Quick test_superset_runs_cold;
+        Alcotest.test_case "daemon/job-table-bounded" `Quick test_job_table_bounded;
         Alcotest.test_case "daemon/fair-share-stress" `Quick test_fair_share_stress;
         Alcotest.test_case "daemon/cancel-and-shutdown" `Quick
           test_cancel_and_shutdown;
