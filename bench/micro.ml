@@ -24,11 +24,6 @@ let matrix_rref =
   let m = random_matrix 128 in
   Test.make ~name:"matrix.rref_128" (Staged.stage (fun () -> Gf2.Matrix.rref (Gf2.Matrix.copy m)))
 
-let matrix_rref_m4rm =
-  let m = random_matrix 128 in
-  Test.make ~name:"matrix.rref_m4rm_128"
-    (Staged.stage (fun () -> Gf2.Matrix.rref_m4rm (Gf2.Matrix.copy m)))
-
 let zdd_product =
   Test.make ~name:"zdd.dense_product_24"
     (Staged.stage (fun () ->
@@ -570,7 +565,7 @@ let dimacs_load ~quick ?json () =
 
 let run_full ~quick ?json () =
   Format.printf "@.=== Micro-benchmarks (Bechamel, monotonic clock) ===@.@.";
-  let tests = [ bitvec_xor; matrix_rref; matrix_rref_m4rm; zdd_product; poly_mul; espresso; cdcl_php; xl_pass ] in
+  let tests = [ bitvec_xor; matrix_rref; zdd_product; poly_mul; espresso; cdcl_php; xl_pass ] in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in

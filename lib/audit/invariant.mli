@@ -4,9 +4,8 @@
     diagnostics (codes are prefixed ["check-name/"]).  Three default
     checks register on load:
 
-    - ["rref-validity"]: both eliminations ({!Gf2.Matrix.rref} and
-      {!Gf2.Matrix.rref_m4rm}) produce a structurally valid RREF of the
-      system's linear subsystem and agree on its rank;
+    - ["rref-validity"]: the elimination ({!Gf2.Matrix.rref}) produces a
+      structurally valid RREF of the system's linear subsystem;
     - ["solver-watch-consistency"]: a solver loaded with the CNF passes
       {!Sat.Solver.invariant_violations} (watch lists, trail, XOR rows);
     - ["roundtrip-canonical"]: the ANF -> CNF -> ANF round trip preserves

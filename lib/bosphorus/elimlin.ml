@@ -38,9 +38,9 @@ let eliminate ?deadline ?budget polys =
     if !rounds > 200 || past_deadline () then polys
     else begin
       (* the elimination itself is the longest otherwise-unpolled stretch
-         in the whole loop; a full check per column block (a clock read
-         against ~1ms of row updates) bounds trip-detection latency on
-         dense systems where the amortized window would be too coarse *)
+         in the whole loop; a full check per column (a clock read
+         against that column's row updates) bounds trip-detection latency
+         on dense systems where the amortized window would be too coarse *)
       let reduced = gje ~poll:check_budget polys in
       let linear, nonlinear = List.partition P.is_linear reduced in
       let linear = List.filter (fun p -> not (P.is_zero p)) linear in

@@ -48,7 +48,7 @@ let poly_of_row t row =
 
 let reduce ?poll polys =
   let t, matrix = build polys in
-  ignore (Gf2.Matrix.rref_m4rm ?poll matrix);
+  ignore (Gf2.Matrix.rref ?poll matrix);
   List.map (poly_of_row t) (Gf2.Matrix.nonzero_rows matrix)
 
 let cells polys = List.length polys * Array.length (column_basis polys)

@@ -20,8 +20,8 @@ val columns : t -> Anf.Monomial.t array
 val poly_of_row : t -> Gf2.Bitvec.t -> Anf.Poly.t
 
 (** [reduce ?poll polys] is a reduced-row-echelon basis of the GF(2)
-    span of [polys]: {!build}, {!Gf2.Matrix.rref_m4rm} (which calls
-    [poll] between column blocks), and the nonzero rows read back as
+    span of [polys]: {!build}, {!Gf2.Matrix.rref} (which calls [poll]
+    once per column step), and the nonzero rows read back as
     polynomials.  It opens no span beyond {!build}'s; callers name the
     reduction they run. *)
 val reduce : ?poll:(unit -> unit) -> Anf.Poly.t list -> Anf.Poly.t list

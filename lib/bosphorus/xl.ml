@@ -183,7 +183,7 @@ let run_impl ~config ~rng ?budget polys =
       (* within budget, or memory-tripped: the ceiling itself bounds the
          partial expansion, so reducing it is affordable and every
          resulting row is a sound consequence.  The reduction itself is
-         still polled per column block — the deadline can pass mid-RREF —
+         still polled per column — the deadline can pass mid-RREF —
          and a trip there degrades to the no-facts report. *)
       let poll () =
         match budget with
@@ -192,19 +192,15 @@ let run_impl ~config ~rng ?budget polys =
       in
       match
         Obs.Trace.with_span ~name:"xl.linearize_reduce" (fun () ->
-            let lin, matrix = Linearize.build expanded in
-            let rank = Gf2.Matrix.rref_m4rm ~poll matrix in
-            (lin, matrix, rank))
+            Linearize.reduce ~poll expanded)
       with
-      | lin, matrix, rank ->
-          let reduced = Gf2.Matrix.nonzero_rows matrix in
-          let row_polys = List.map (Linearize.poly_of_row lin) reduced in
+      | row_polys ->
           {
             facts = retain_facts row_polys;
             sampled = List.length sample;
             expanded_rows = List.length expanded;
-            columns = Linearize.n_columns lin;
-            rank;
+            columns = !cols;
+            rank = List.length row_polys;
           }
       | exception Harness.Budget.Tripped _ ->
           {

@@ -29,7 +29,6 @@ let create len =
   { len; words = make_words (Int.max 1 (words_for len)) }
 
 let length v = v.len
-let n_words v = A1.dim v.words
 
 let check v i =
   if i < 0 || i >= v.len then invalid_arg "Bitvec: index out of range"
@@ -58,18 +57,6 @@ let xor_into ~src ~dst =
   if src.len <> dst.len then invalid_arg "Bitvec.xor_into: length mismatch";
   let s = src.words and d = dst.words in
   for w = 0 to A1.dim d - 1 do
-    A1.unsafe_set d w (A1.unsafe_get d w lxor A1.unsafe_get s w)
-  done
-
-(* Word-range variant for cache-blocked panel updates: XOR only words
-   [lo_word, hi_word) of [src] into [dst].  Callers own the blocking
-   arithmetic; the range is clipped to the store so a final ragged panel
-   needs no special case. *)
-let xor_into_range ~src ~dst ~lo_word ~hi_word =
-  if src.len <> dst.len then invalid_arg "Bitvec.xor_into_range: length mismatch";
-  let s = src.words and d = dst.words in
-  let lo = Int.max 0 lo_word and hi = Int.min (A1.dim d) hi_word in
-  for w = lo to hi - 1 do
     A1.unsafe_set d w (A1.unsafe_get d w lxor A1.unsafe_get s w)
   done
 

@@ -30,19 +30,6 @@ val copy : t -> t
     must have the same length. *)
 val xor_into : src:t -> dst:t -> unit
 
-(** [xor_into_range ~src ~dst ~lo_word ~hi_word] XORs only words
-    [lo_word, hi_word) of the underlying store (clipped to its actual
-    size) — the primitive behind cache-blocked matrix panel updates.
-    Same-length requirement as {!xor_into}. *)
-val xor_into_range : src:t -> dst:t -> lo_word:int -> hi_word:int -> unit
-
-(** Number of backing words ([Sys.int_size] bits each). *)
-val n_words : t -> int
-
-(** [words_for n] is the number of backing words a vector of [n] bits
-    occupies — the work-unit count used by granularity gauges. *)
-val words_for : int -> int
-
 (** [is_zero v] is [true] iff every bit is 0. *)
 val is_zero : t -> bool
 

@@ -17,10 +17,6 @@ let of_rows ~cols rows_list =
 let rows m = m.nrows
 let cols m = m.ncols
 
-let lowest_bit_index_int w =
-  let rec go w i = if w land 1 = 1 then i else go (w lsr 1) (i + 1) in
-  go w 0
-
 let check_row m i =
   if i < 0 || i >= m.nrows then
     invalid_arg (Printf.sprintf "Matrix: row %d out of range (nrows %d)" i m.nrows)
@@ -94,17 +90,16 @@ let audit_hooks =
   | Some ("1" | "true" | "yes") -> true
   | Some _ | None -> false
 
-let audit_rref_result name m =
-  if audit_hooks && not (is_rref m) then
-    failwith (name ^ ": result is not in reduced row echelon form")
-
 (* Gauss-Jordan: for each column left to right, find a pivot row at or below
    the current pivot rank, swap it up, then clear that column in every other
    row.  O(rows * cols * words-per-row). *)
-let rref m =
+let rref ?(poll = fun () -> ()) m =
   let pivot_row = ref 0 in
   let col = ref 0 in
   while !pivot_row < m.nrows && !col < m.ncols do
+    (* per-column cancellation point: a raising [poll] abandons the
+       half-reduced matrix, so callers must not use it afterwards *)
+    poll ();
     let c = !col in
     (* find a row >= pivot_row with a 1 in column c *)
     let rec find i =
@@ -122,121 +117,8 @@ let rref m =
         incr pivot_row);
     incr col
   done;
-  audit_rref_result "Matrix.rref" m;
-  !pivot_row
-
-(* Words per cache panel of the blocked trailing update: the 2^k-row
-   lookup table slice plus one row slice should stay resident, so target
-   roughly 256 KiB of table per sweep. *)
-let panel_words ~b = Int.max 64 ((1 lsl 15) / Int.max 1 (1 lsl (b - 3)))
-
-(* Method of the Four Russians.  Per block of <= k columns: find pivot
-   rows (reducing each candidate row by the block's previous pivots only),
-   normalise the pivot rows to identity on the pivot columns, tabulate all
-   2^b combinations of them in gray-code order, then clear the block's
-   pivot columns from every other row with one lookup + one XOR.
-
-   The trailing update (phase C, the bulk of the work) is cache-blocked:
-   each row's table index is computed up front into a flat scratch array,
-   then the XORs sweep panel-of-words by panel-of-words so the lookup
-   table slice stays hot instead of being evicted between rows. *)
-let rref_m4rm ?(k = 6) ?(poll = fun () -> ()) m =
-  if k < 1 || k > 20 then invalid_arg "Matrix.rref_m4rm: k in 1..20";
-  let pivot_row = ref 0 in
-  let col = ref 0 in
-  (* pivots.(t) is the t-th pivot column of the current block, ascending;
-     an int array rather than a list so that phase A's reduction finds a
-     pivot's row offset in O(1) instead of scanning a column list *)
-  let pivots = Array.make k 0 in
-  (* row_idx.(r): gray-table index of row r for the current block,
-     precomputed so the panel sweep can clear pivot columns as it goes *)
-  let row_idx = Array.make (Int.max 1 m.nrows) 0 in
-  let nwords = Bitvec.n_words m.data.(0) in
-  while !pivot_row < m.nrows && !col < m.ncols do
-    (* per-block cancellation point: a raising [poll] abandons the
-       half-reduced matrix, so callers must not use it afterwards *)
-    poll ();
-    let block_end = Int.min m.ncols (!col + k) in
-    (* phase A: collect pivots for columns [!col, block_end) *)
-    let found = ref 0 in
-    let c = ref !col in
-    while !c < block_end do
-      (* find a row at or below pivot_row + found with a 1 in column !c
-         after reduction by the pivots already found in this block *)
-      let rec search i =
-        if i >= m.nrows then None
-        else begin
-          (* reduce the candidate by this block's pivot rows, in pivot
-             order: each pivot row is clean on the pivots before it but may
-             touch the ones after, so ascending order is required *)
-          for t = 0 to !found - 1 do
-            if Bitvec.get m.data.(i) pivots.(t) then
-              Bitvec.xor_into ~src:m.data.(!pivot_row + t) ~dst:m.data.(i)
-          done;
-          if Bitvec.get m.data.(i) !c then Some i else search (i + 1)
-        end
-      in
-      (match search (!pivot_row + !found) with
-      | Some i ->
-          if i <> !pivot_row + !found then swap_rows m i (!pivot_row + !found);
-          pivots.(!found) <- !c;
-          incr found
-      | None -> ());
-      incr c
-    done;
-    let b = !found in
-    if b = 0 then col := block_end
-    else begin
-      let pr = !pivot_row in
-      (* normalise the pivot rows to identity on the pivot columns *)
-      for i = 0 to b - 1 do
-        for j = 0 to b - 1 do
-          if i <> j && Bitvec.get m.data.(pr + i) pivots.(j) then
-            Bitvec.xor_into ~src:m.data.(pr + j) ~dst:m.data.(pr + i)
-        done
-      done;
-      (* gray-code table of the 2^b combinations *)
-      let table = Array.make (1 lsl b) (Bitvec.create m.ncols) in
-      for g = 1 to (1 lsl b) - 1 do
-        let low = lowest_bit_index_int g in
-        let v = Bitvec.copy table.(g land (g - 1)) in
-        Bitvec.xor_into ~src:m.data.(pr + low) ~dst:v;
-        table.(g) <- v
-      done;
-      (* phase C: clear the pivot columns everywhere else with one table
-         lookup + one XOR per row, cache-blocked.  First pass records each
-         row's table index (reading pivot-column bits before anything
-         clears them), then the XORs run panel-of-words by panel-of-words
-         across the rows so the table slice in use stays resident.  XOR is
-         word-local, so sweeping panels left-to-right produces the same
-         words as one full-row pass. *)
-      let panel = panel_words ~b in
-      for r = 0 to m.nrows - 1 do
-        if r < pr || r >= pr + b then begin
-          let idx = ref 0 in
-          for j = 0 to b - 1 do
-            if Bitvec.get m.data.(r) pivots.(j) then idx := !idx lor (1 lsl j)
-          done;
-          row_idx.(r) <- !idx
-        end
-        else row_idx.(r) <- 0
-      done;
-      let w = ref 0 in
-      while !w < nwords do
-        let hi_w = Int.min nwords (!w + panel) in
-        for r = 0 to m.nrows - 1 do
-          let idx = row_idx.(r) in
-          if idx <> 0 then
-            Bitvec.xor_into_range ~src:table.(idx) ~dst:m.data.(r)
-              ~lo_word:!w ~hi_word:hi_w
-        done;
-        w := hi_w
-      done;
-      pivot_row := pr + b;
-      col := block_end
-    end
-  done;
-  audit_rref_result "Matrix.rref_m4rm" m;
+  if audit_hooks && not (is_rref m) then
+    failwith "Matrix.rref: result is not in reduced row echelon form";
   !pivot_row
 
 let rank m = rref (copy m)

@@ -33,27 +33,21 @@ val swap_rows : t -> int -> int -> unit
 (** [xor_rows m ~src ~dst] adds row [src] into row [dst]. *)
 val xor_rows : t -> src:int -> dst:int -> unit
 
-(** [rref m] reduces [m] in place to reduced row echelon form (full
+(** [rref ?poll m] reduces [m] in place to reduced row echelon form (full
     Gauss–Jordan: pivots are 1 and each pivot column is zero elsewhere) and
     returns the rank.  Pivot search is leftmost-column first, so columns with
     lower index are preferred as pivots — callers order columns by descending
     monomial degree so that learnt linear facts surface in the trailing
-    columns, as in Table I of the paper. *)
-val rref : t -> int
+    columns, as in Table I of the paper.
 
-(** [rref_m4rm ?k ?poll m] is {!rref} by the Method of the Four Russians
-    (the algorithm M4RI is named after): pivots are found in blocks of up
-    to [k] columns (default 6), the 2^b combinations of a block's pivot
-    rows are tabulated gray-code style, and every other row is cleared with
-    a single table lookup and XOR instead of up to [b] row operations.
-    Produces the same reduced row echelon form as {!rref} (RREF is
-    canonical), roughly [k] times faster on large dense matrices.
+    The system's one GF(2) elimination: plain bit-packed Gauss–Jordan,
+    without M4RI's Method of Four Russians tables.
 
-    [poll] (default a no-op) is called once per column block — a
+    [poll] (default a no-op) is called once per column step — a
     cooperative cancellation point for budgeted callers
-    ({!Harness.Budget.poll}).  If it raises, the elimination aborts and
-    [m] is left half-reduced: discard it. *)
-val rref_m4rm : ?k:int -> ?poll:(unit -> unit) -> t -> int
+    ({!Harness.Budget.poll}).  If it raises, the elimination aborts with
+    that exception and [m] is left half-reduced: discard it. *)
+val rref : ?poll:(unit -> unit) -> t -> int
 
 (** [rank m] is the GF(2) rank (computed on a copy; [m] is unchanged). *)
 val rank : t -> int
@@ -62,13 +56,13 @@ val rank : t -> int
     pivot columns strictly increase top to bottom, zero rows are at the
     bottom, and each pivot column is zero outside its pivot row.  Used by
     the audit layer's invariant checks; with the environment variable
-    [BOSPHORUS_AUDIT] set, {!rref} and {!rref_m4rm} also verify their own
-    output against it. *)
+    [BOSPHORUS_AUDIT] set, {!rref} also verifies its own output against
+    it. *)
 val is_rref : t -> bool
 
 (** [in_row_space m v] is [true] iff [v] is a GF(2) linear combination of
     the rows of [m].  [m] must be in (reduced) row echelon form — reduce it
-    with {!rref} or {!rref_m4rm} first.  Raises [Invalid_argument] if the
+    with {!rref} first.  Raises [Invalid_argument] if the
     vector length differs from the column count. *)
 val in_row_space : t -> Bitvec.t -> bool
 

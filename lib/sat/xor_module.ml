@@ -111,7 +111,7 @@ let gauss ~nvars xors =
       xors
   in
   let m = Gf2.Matrix.of_rows ~cols:(nvars + 1) rows in
-  ignore (Gf2.Matrix.rref_m4rm m);
+  ignore (Gf2.Matrix.rref m);
   let reduced = Gf2.Matrix.nonzero_rows m in
   let inconsistent =
     List.exists

@@ -205,6 +205,29 @@ let test_matrix_in_row_space () =
     (Invalid_argument "Matrix.in_row_space: vector length 3, matrix has 4 columns")
     (fun () -> ignore (Gf2.Matrix.in_row_space m (Gf2.Bitvec.create 3)))
 
+(* [poll] is the cancellation point of budgeted callers: it runs once per
+   column step.  Row 2 = row 0 + row 1, so the elimination never runs out
+   of rows and steps through all 6 columns. *)
+let test_rref_poll_count () =
+  let m = matrix_of_lists ~cols:6 [ [ 0; 3 ]; [ 1; 4; 5 ]; [ 0; 1; 3; 4; 5 ] ] in
+  let polls = ref 0 in
+  check_int "rank" 2 (Gf2.Matrix.rref ~poll:(fun () -> incr polls) m);
+  check "at least one poll per column" true (!polls >= Gf2.Matrix.cols m)
+
+exception Stop_at of int
+
+(* a poll that raises aborts the elimination with that exception *)
+let test_rref_poll_raises () =
+  let m = matrix_of_lists ~cols:6 [ [ 0; 3 ]; [ 1; 4; 5 ]; [ 2; 5 ]; [ 3 ] ] in
+  let polls = ref 0 in
+  let poll () =
+    incr polls;
+    if !polls = 3 then raise (Stop_at !polls)
+  in
+  Alcotest.check_raises "third poll raises" (Stop_at 3) (fun () ->
+      ignore (Gf2.Matrix.rref ~poll m));
+  check_int "no poll after the raise" 3 !polls
+
 (* ------------------------------------------------------------------ *)
 (* Property tests                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -283,40 +306,9 @@ let prop_rref_preserves_row_space =
       done;
       !ok)
 
-let test_m4rm_matches_rref () =
-  let m =
-    matrix_of_lists ~cols:7 [ [ 0; 1; 4 ]; [ 1; 2 ]; [ 0; 2; 3 ]; [ 3; 4 ]; [ 5; 6 ]; [ 0; 5 ] ]
-  in
-  let plain = Gf2.Matrix.copy m and four = Gf2.Matrix.copy m in
-  let r1 = Gf2.Matrix.rref plain in
-  let r2 = Gf2.Matrix.rref_m4rm ~k:3 four in
-  check_int "same rank" r1 r2;
-  Alcotest.(check string) "same RREF"
-    (Format.asprintf "%a" Gf2.Matrix.pp plain)
-    (Format.asprintf "%a" Gf2.Matrix.pp four)
-
-let prop_m4rm_equals_rref =
-  QCheck.Test.make ~name:"four russians RREF = plain RREF" ~count:300
-    QCheck.(pair (make matrix_gen) (int_range 1 8))
-    (fun (m, k) ->
-      let plain = Gf2.Matrix.copy m and four = Gf2.Matrix.copy m in
-      let r1 = Gf2.Matrix.rref plain in
-      let r2 = Gf2.Matrix.rref_m4rm ~k four in
-      r1 = r2
-      && Format.asprintf "%a" Gf2.Matrix.pp plain = Format.asprintf "%a" Gf2.Matrix.pp four)
-
 (* ------------------------------------------------------------------ *)
 (* Bigarray word store: model-based checks across word boundaries      *)
 (* ------------------------------------------------------------------ *)
-
-(* Bits per backing word, derived through the public API so the test
-   does not hard-code the representation. *)
-let word_bits =
-  let n = ref 1 in
-  while Gf2.Bitvec.words_for !n <= 1 do
-    incr n
-  done;
-  !n - 1
 
 let boundary_lengths = [ 0; 1; 62; 63; 64; 65; 127; 128; 200 ]
 
@@ -360,52 +352,11 @@ let test_bitvec_model_lengths () =
         (Gf2.Bitvec.equal v (Gf2.Bitvec.copy v)))
     boundary_lengths
 
-(* xor_into_range against a per-bit model: only bits whose word index
-   falls in [lo_word, hi_word) are xored, out-of-range word indices clip,
-   and the full range reproduces xor_into exactly. *)
-let test_bitvec_xor_into_range () =
-  let rng = Random.State.make [| 78 |] in
-  List.iter
-    (fun n ->
-      let nw = Gf2.Bitvec.words_for n in
-      check_int
-        (Printf.sprintf "words_for %d" n)
-        ((n + word_bits - 1) / word_bits)
-        nw;
-      for _ = 1 to 25 do
-        let random_vec () =
-          Gf2.Bitvec.of_list n
-            (List.filter (fun _ -> Random.State.bool rng) (List.init n Fun.id))
-        in
-        let src = random_vec () and dst = random_vec () in
-        let lo_word = Random.State.int rng (nw + 2) in
-        let hi_word = lo_word + Random.State.int rng (nw + 2 - lo_word) in
-        let expected =
-          List.init n (fun i ->
-              let w = i / word_bits in
-              if w >= lo_word && w < hi_word then
-                Gf2.Bitvec.get dst i <> Gf2.Bitvec.get src i
-              else Gf2.Bitvec.get dst i)
-        in
-        Gf2.Bitvec.xor_into_range ~src ~dst ~lo_word ~hi_word;
-        List.iteri
-          (fun i b ->
-            check (Printf.sprintf "n=%d [%d,%d) bit %d" n lo_word hi_word i) b
-              (Gf2.Bitvec.get dst i))
-          expected;
-        (* full-range call = xor_into *)
-        let a = random_vec () and b1 = random_vec () in
-        let b2 = Gf2.Bitvec.copy b1 in
-        Gf2.Bitvec.xor_into ~src:a ~dst:b1;
-        Gf2.Bitvec.xor_into_range ~src:a ~dst:b2 ~lo_word:0 ~hi_word:nw;
-        check (Printf.sprintf "n=%d full range = xor_into" n) true
-          (Gf2.Bitvec.equal b1 b2)
-      done)
-    boundary_lengths
-
-(* cache-blocked M4RM on a non-word-aligned shape: identical to plain
-   Gauss-Jordan *)
-let test_m4rm_nonaligned () =
+(* rref on rows spanning three backing words, the last one ragged: the
+   QCheck matrices above stay within one word per row.  The result must be
+   a valid RREF whose row space holds every original row, with the rank
+   equal to the nonzero row count. *)
+let test_rref_multiword () =
   let rng = Random.State.make [| 79 |] in
   let rows = 90 and cols = 130 in
   let m = Gf2.Matrix.create ~rows ~cols in
@@ -414,13 +365,16 @@ let test_m4rm_nonaligned () =
       if Random.State.bool rng then Gf2.Matrix.set m i j true
     done
   done;
-  let g = Gf2.Matrix.copy m in
-  let rank_g = Gf2.Matrix.rref g in
-  let m1 = Gf2.Matrix.copy m in
-  let rank1 = Gf2.Matrix.rref_m4rm m1 in
-  check_int "m4rm rank = rref rank" rank_g rank1;
-  let render m = Format.asprintf "%a" Gf2.Matrix.pp m in
-  Alcotest.(check string) "m4rm = rref" (render g) (render m1)
+  let reduced = Gf2.Matrix.copy m in
+  let rank = Gf2.Matrix.rref reduced in
+  check "is_rref" true (Gf2.Matrix.is_rref reduced);
+  for i = 0 to rows - 1 do
+    check
+      (Printf.sprintf "row %d in row space" i)
+      true
+      (Gf2.Matrix.in_row_space reduced (Gf2.Matrix.row m i))
+  done;
+  check_int "rank = nonzero rows" (List.length (Gf2.Matrix.nonzero_rows reduced)) rank
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -431,7 +385,6 @@ let qcheck_cases =
       prop_rref_idempotent;
       prop_rank_bounded;
       prop_rref_preserves_row_space;
-      prop_m4rm_equals_rref;
     ]
 
 let suite =
@@ -450,7 +403,6 @@ let suite =
         Alcotest.test_case "iter/fold over set bits" `Quick test_bitvec_fold_iter;
         Alcotest.test_case "model equivalence at word boundaries" `Quick
           test_bitvec_model_lengths;
-        Alcotest.test_case "xor_into_range model" `Quick test_bitvec_xor_into_range;
       ] );
     ( "gf2.matrix",
       [
@@ -463,8 +415,9 @@ let suite =
         Alcotest.test_case "row bounds message" `Quick test_matrix_row_bounds_message;
         Alcotest.test_case "is_rref" `Quick test_matrix_is_rref;
         Alcotest.test_case "in_row_space" `Quick test_matrix_in_row_space;
-        Alcotest.test_case "four russians RREF" `Quick test_m4rm_matches_rref;
-        Alcotest.test_case "non-aligned M4RM = rref" `Quick test_m4rm_nonaligned;
+        Alcotest.test_case "rref on multi-word rows" `Quick test_rref_multiword;
+        Alcotest.test_case "rref polls every column" `Quick test_rref_poll_count;
+        Alcotest.test_case "rref poll aborts" `Quick test_rref_poll_raises;
       ] );
     ("gf2.properties", qcheck_cases);
   ]

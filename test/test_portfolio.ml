@@ -332,14 +332,25 @@ let test_differential_with_sharing () =
   check "clauses were exchanged somewhere in the sweep" true (!n_exchanged > 0)
 
 let test_imports_flow () =
-  (* a race on an UNSAT instance hard enough to outlast the export
-     cadence (~1024 conflicts per slice): clauses must both travel to the
-     exchange and be imported mid-race (the CI smoke asserts the same on
-     a fixed instance) *)
-  let holes = 7 in
-  let f = formula_of ~nvars:((holes + 1) * holes) (pigeonhole ~holes) in
-  let o = Pf.solve ~k:2 ~share:true f in
-  check "unsat" true (is_unsat o.Pf.result);
+  (* Clauses must reach the exchange and be imported mid-race whatever
+     the schedule.  Instance: random 3-SAT, 150 vars, 639 clauses, seed 1
+     (UNSAT; the CI portfolio smoke races it too), ternary export on, 2000
+     conflicts per seat.  Run alone, each seat publishes 19-27 clauses when
+     its first slice ends (896 conflicts), drains the exchange before its
+     second slice, and needs over 3300 conflicts to decide.  A seat leaves
+     that course only after a drain delivers something.  So if no drain
+     ever did, each seat's second drain came before the other seat's
+     first publication, which came before that seat's own second drain: a
+     cycle.  php7 cannot serve here: it learns its first unit or binary
+     only near the refutation, so the race can be decided before the
+     losing seat drains.  The UNSAT verdict is covered by "race decides
+     unsat and cancels". *)
+  let f =
+    Problems.Generators.random_ksat ~nvars:150 ~n_clauses:639 ~k:3
+      ~rng:(Random.State.make [| 1 |])
+  in
+  let o = Pf.solve ~conflict_budget:2000 ~ternary_lbd_cap:3 ~k:2 ~share:true f in
+  check "no SAT claim on an UNSAT instance" false (is_sat o.Pf.result);
   check "clauses travelled" true (o.Pf.exported > 0);
   check "clauses were imported" true (o.Pf.imported > 0)
 
